@@ -1,13 +1,11 @@
 // PR10: host-parallel simulation at bit-identical virtual time.
 //
-// Tier A: the multi-leg figure suite (24 independent deployments) on a
-// LegRunner thread pool — identical WorkloadTimes at any thread count,
-// wall-clock speedup when real cores exist.
-// Tier B: one rack deployment with N compute nodes x N memory shards and N
-// diagonal tasks (task t = node t, shard t), stepped by the conservative
-// parallel engine under the fabric min-latency lookahead — bit-identical
-// digests, virtual clocks, and metrics dumps vs the serial schedule at two
-// fleet scales (2x2 and 4x4).
+// The multi-leg figure suite (24 independent deployments) on a LegRunner
+// thread pool — identical WorkloadTimes at any thread count, wall-clock
+// speedup when real cores exist. Plus one rack deployment with N compute
+// nodes x N memory shards and N diagonal CoopTasks (task t = node t,
+// shard t) at two fleet scales (2x2 and 4x4), recording the serial
+// scheduler's batched handoffs (StepBatch).
 //
 // Speedup gates self-calibrate to the host: this container may expose a
 // single core, where parallel runs legitimately show ~1x; the floor is
@@ -26,7 +24,6 @@
 #include "rack/traffic.h"
 #include "sim/coop_task.h"
 #include "sim/interleaver.h"
-#include "sim/parallel.h"
 
 using namespace teleport;  // NOLINT
 
@@ -34,7 +31,7 @@ namespace {
 
 constexpr uint64_t kPage = 4096;
 
-// --- Tier A: the figure suite as parallel legs ------------------------------
+// --- The figure suite as parallel legs ---------------------------------------
 
 bench::SuiteConfig SuiteScale() {
   bench::SuiteConfig cfg;
@@ -60,22 +57,18 @@ bool SameSuite(const std::vector<bench::WorkloadTimes>& a,
   return true;
 }
 
-// --- Tier B: diagonal rack under the conservative parallel engine -----------
+// --- Diagonal rack under the serial scheduler -------------------------------
 
 struct RackOutcome {
-  std::vector<uint64_t> digests;
-  std::vector<Nanos> clocks;
-  std::vector<std::string> metrics;
   Nanos makespan = 0;
   Nanos wall_ns = 0;
   sim::Interleaver::ParCounters par;
 };
 
-/// N tasks on an NxN rack, task t pinned to (node t, shard t), each running
-/// `rounds` rack::RunKernel passes (kinds cycling per round) confined to its
-/// own shard-aligned slice. `host_threads` 1 = serial engine (with batched
-/// handoffs), >1 = conservative parallel stepping.
-RackOutcome RunDiagonalRack(int n, int host_threads, int rounds, int ops) {
+/// N tasks on an NxN rack, task t on (node t, shard t), each running
+/// `rounds` rack::RunKernel passes (kinds cycling per round) over its own
+/// shard-aligned slice.
+RackOutcome RunDiagonalRack(int n, int rounds, int ops) {
   ddc::DdcConfig cfg;
   cfg.platform = ddc::Platform::kBaseDdc;
   cfg.compute_nodes = n;
@@ -100,46 +93,31 @@ RackOutcome RunDiagonalRack(int n, int host_threads, int rounds, int ops) {
   ms.SeedData();
 
   RackOutcome out;
-  out.digests.assign(static_cast<size_t>(n), 0);
   std::vector<std::unique_ptr<ddc::ExecutionContext>> ctxs;
   std::vector<std::unique_ptr<sim::CoopTask>> tasks;
   sim::Interleaver il;
-  const bool eligible = sim::ParallelEligible(ms);
-  TELEPORT_CHECK(eligible);  // plain rack: ideal backend, no observers
   for (int t = 0; t < n; ++t) {
     ctxs.push_back(ms.CreateContext(ddc::Pool::kCompute, /*node=*/t,
                                     /*tenant=*/t));
     ddc::ExecutionContext* ctx = ctxs.back().get();
     const ddc::VAddr slice = slices[static_cast<size_t>(t)];
-    uint64_t* digest = &out.digests[static_cast<size_t>(t)];
     tasks.push_back(std::make_unique<sim::CoopTask>(
         std::vector<ddc::ExecutionContext*>{ctx},
-        [ctx, slice, slice_pages, rounds, ops, t, digest] {
+        [ctx, slice, slice_pages, rounds, ops, t] {
           for (int r = 0; r < rounds; ++r) {
             const auto kind = static_cast<rack::WorkloadKind>((t + r) % 4);
-            *digest += rack::RunKernel(*ctx, kind, slice, slice_pages * kPage,
-                                       ops, 0x9e37 + 131 * t + r);
+            rack::RunKernel(*ctx, kind, slice, slice_pages * kPage, ops,
+                            0x9e37 + 131 * t + r);
           }
         },
-        /*quantum=*/8, sim::TaskPartition{t, t}));
+        /*quantum=*/8));
     il.Add(tasks.back().get());
   }
-  il.set_host_threads(host_threads);
-  il.set_lookahead(ms.fabric().MinDeliveryLatencyNs());
   bench::WallTimer wall;
   out.makespan = il.Run();
   out.wall_ns = wall.ElapsedNs();
   out.par = il.par_counters();
-  for (int t = 0; t < n; ++t) {
-    out.clocks.push_back(ctxs[static_cast<size_t>(t)]->now());
-    out.metrics.push_back(ctxs[static_cast<size_t>(t)]->metrics().ToString());
-  }
   return out;
-}
-
-bool SameRack(const RackOutcome& a, const RackOutcome& b) {
-  return a.digests == b.digests && a.clocks == b.clocks &&
-         a.metrics == b.metrics && a.makespan == b.makespan;
 }
 
 double Speedup(Nanos serial_wall, Nanos parallel_wall) {
@@ -166,11 +144,10 @@ double SpeedupFloor() {
 int main() {
   bench::PrintBanner(
       "PR10: host-parallel simulation",
-      "multi-threaded figure legs + conservative parallel stepping, "
-      "bit-identical virtual time");
+      "multi-threaded figure legs, bit-identical virtual time");
   bool ok = true;
 
-  // --- Tier A: figure suite, 1 vs 8 host threads. -------------------------
+  // --- Figure suite, 1 vs 8 host threads. ---------------------------------
   const bench::SuiteConfig scale = SuiteScale();
   bench::SuiteConfig serial_cfg = scale;
   serial_cfg.host_threads = 1;
@@ -200,35 +177,22 @@ int main() {
   bench::EmitBenchRecord({"pr10_parallel", "suite_t8", "LegRunner",
                           suite_virtual, suite_t8_wall, 0, ""});
 
-  // --- Tier B: diagonal racks at two fleet scales, serial vs parallel. ----
+  // --- Diagonal racks at two fleet scales, serial scheduler. --------------
   for (const int n : {2, 4}) {
     const int rounds = 6;
     const int ops = n == 2 ? 1500 : 700;
-    const RackOutcome serial = RunDiagonalRack(n, 1, rounds, ops);
-    const RackOutcome parallel = RunDiagonalRack(n, 8, rounds, ops);
-    const bool same = SameRack(serial, parallel);
-    ok &= same;
-    const double speedup = Speedup(serial.wall_ns, parallel.wall_ns);
-    std::printf(
-        "rack %dx%d: serial %.2fs (batched quanta %llu)  parallel %.2fs "
-        "(batches %llu, parallel steps %llu, stalls %llu)  speedup %.2fx  "
-        "virtual %s\n",
-        n, n, serial.wall_ns / 1e9,
-        static_cast<unsigned long long>(serial.par.batched_quanta),
-        parallel.wall_ns / 1e9,
-        static_cast<unsigned long long>(parallel.par.batches),
-        static_cast<unsigned long long>(parallel.par.parallel_steps),
-        static_cast<unsigned long long>(parallel.par.lookahead_stalls),
-        speedup, same ? "bit-identical" : "DIVERGED");
+    const RackOutcome serial = RunDiagonalRack(n, rounds, ops);
+    std::printf("rack %dx%d: serial %.2fs (handoffs %llu, batched quanta "
+                "%llu)\n",
+                n, n, serial.wall_ns / 1e9,
+                static_cast<unsigned long long>(serial.par.handoff_waits),
+                static_cast<unsigned long long>(serial.par.batched_quanta));
     const std::string leg = "rack" + std::to_string(n) + "x" +
                             std::to_string(n);
     bench::EmitBenchRecord({"pr10_parallel", leg + "_t1", "Interleaver",
                             serial.makespan, serial.wall_ns, 0, ""});
-    bench::EmitBenchRecord({"pr10_parallel", leg + "_t8", "Interleaver",
-                            parallel.makespan, parallel.wall_ns, 0, ""});
-    // The parallel engine must actually batch when given real partitions.
-    ok &= parallel.par.batches > 0;
-    if (n == 4) ok &= parallel.par.parallel_steps > 0;
+    // Same-window quanta must ride one handoff instead of one each.
+    ok &= serial.par.batched_quanta > 0;
   }
 
   // --- Speedup floor (self-gated to the visible cores). -------------------

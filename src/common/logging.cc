@@ -5,8 +5,8 @@
 namespace teleport {
 
 namespace {
-// Atomic: log statements run from parallel-engine worker threads; the level
-// is process-wide config written before any parallel region starts.
+// Atomic: log statements run concurrently on sim::LegRunner threads; the
+// level is process-wide config written before any leg starts.
 std::atomic<LogLevel> g_log_level{LogLevel::kWarning};
 
 const char* LevelName(LogLevel level) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string_view>
 
 #include "common/logging.h"
 #include "net/faults.h"
@@ -99,6 +100,17 @@ uint64_t PagesPerShard(uint64_t capacity_bytes, uint64_t page_size,
   return std::max<uint64_t>(1, (cap_pages + m - 1) / m);
 }
 
+// Reads an on/off environment knob: unset or empty is off; otherwise the
+// value must be exactly "0" or "1", and anything else aborts.
+bool SwitchFromEnv(const char* name) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || v[0] == '\0') return false;
+  const std::string_view s(v);
+  TELEPORT_CHECK(s == "0" || s == "1")
+      << name << "=\"" << s << "\": expected 0 or 1";
+  return s == "1";
+}
+
 }  // namespace
 
 MemorySystem::MemorySystem(const DdcConfig& config,
@@ -129,20 +141,11 @@ MemorySystem::MemorySystem(const DdcConfig& config,
   TELEPORT_CHECK(config.compute_nodes <= 255)
       << "page ownership is tracked in a uint8_t";
   // The explore tier exports TELEPORT_SCALAR_DATAPATH=1 to force per-access
-  // dispatch (schedule points at every element); any non-empty value other
-  // than "0" enables it.
-  const char* scalar = std::getenv("TELEPORT_SCALAR_DATAPATH");
-  if (scalar != nullptr && scalar[0] != '\0' &&
-      !(scalar[0] == '0' && scalar[1] == '\0')) {
-    scalar_datapath_ = true;
-  }
+  // dispatch (schedule points at every element).
+  scalar_datapath_ = SwitchFromEnv("TELEPORT_SCALAR_DATAPATH");
   // TELEPORT_JOURNAL=1 turns on the redo journal (durable pool recovery);
   // unset/0 preserves the lossy §3.2 crash-restart behavior byte-for-byte.
-  const char* journal = std::getenv("TELEPORT_JOURNAL");
-  if (journal != nullptr && journal[0] != '\0' &&
-      !(journal[0] == '0' && journal[1] == '\0')) {
-    journal_enabled_ = true;
-  }
+  journal_enabled_ = SwitchFromEnv("TELEPORT_JOURNAL");
 }
 
 MemorySystem::PageState& MemorySystem::PS(PageId p) {
@@ -314,7 +317,7 @@ void MemorySystem::FillPin(ExecutionContext& ctx, PagePin& pin, PageId page) {
   pin.stream_slot = slot;
   pin.seq_ns = params_.dram_seq_access_ns;
   pin.ns_per_byte = params_.dram_seq_ns_per_byte;
-  pin.map_epoch = mapping_epoch_.load(std::memory_order_relaxed);
+  pin.map_epoch = mapping_epoch_;
   pin.page_epoch = s.tlb_epoch;
   pin.page_epoch_ptr = &s.tlb_epoch;
 }

@@ -2,7 +2,6 @@
 #define TELEPORT_DDC_MEMORY_SYSTEM_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -547,9 +546,7 @@ class MemorySystem {
   /// coherence event that requires a shootdown. (Pin validity itself is
   /// checked against the finer-grained mapping/page epochs, so pins on
   /// unrelated pages survive another page's eviction.)
-  uint64_t translation_epoch() const {
-    return translation_epoch_.load(std::memory_order_relaxed);
-  }
+  uint64_t translation_epoch() const { return translation_epoch_; }
 
   /// Forces every access through the per-element scalar dispatch path:
   /// pins never fill, so Load/Store, cursors and spans all charge exactly
@@ -810,7 +807,7 @@ class MemorySystem {
   /// protocol that forgets it.
   void BumpTlbEpoch(PageId page) {
     if (mutation_ != ProtocolMutation::kSkipTlbShootdown) {
-      translation_epoch_.fetch_add(1, std::memory_order_relaxed);
+      ++translation_epoch_;
       ++pages_[page].tlb_epoch;
     }
   }
@@ -820,8 +817,8 @@ class MemorySystem {
   /// restart). Gated like BumpTlbEpoch(page).
   void BumpTlbEpochAll() {
     if (mutation_ != ProtocolMutation::kSkipTlbShootdown) {
-      translation_epoch_.fetch_add(1, std::memory_order_relaxed);
-      mapping_epoch_.fetch_add(1, std::memory_order_relaxed);
+      ++translation_epoch_;
+      ++mapping_epoch_;
     }
   }
 
@@ -830,8 +827,8 @@ class MemorySystem {
   /// flips). Not part of the checked shootdown protocol, so the mutation
   /// cannot skip it.
   void InvalidateAllPins() {
-    translation_epoch_.fetch_add(1, std::memory_order_relaxed);
-    mapping_epoch_.fetch_add(1, std::memory_order_relaxed);
+    ++translation_epoch_;
+    ++mapping_epoch_;
   }
 
   /// Fills `pin` for `page` iff the page's *current* state makes every
@@ -887,11 +884,7 @@ class MemorySystem {
   /// (per-page or wholesale, plus the unconditional safety bumps), which is
   /// what model-checker invariant #5 watches. Pins do not validate against
   /// it — they check mapping_epoch_ and their page's own tlb_epoch.
-  /// Relaxed atomic: under the parallel engine, tasks confined to disjoint
-  /// shards evict/refill concurrently and all bump this whole-system
-  /// counter; it is a commutative sum nobody reads mid-batch, so relaxed
-  /// increments leave every batch-boundary value identical to serial.
-  std::atomic<uint64_t> translation_epoch_{1};
+  uint64_t translation_epoch_ = 1;
   /// Wholesale pin-validity fence (PagePin::map_epoch). Starts at 1 so a
   /// default pin (map_epoch 0) can never validate. Bumped by
   /// BumpTlbEpochAll() on bulk protocol transitions and unconditionally on
@@ -899,14 +892,7 @@ class MemorySystem {
   /// a pinned access must do (observer attach, mutation plant, scalar-knob
   /// flip) — those are memory-safety bumps, not part of the checked
   /// shootdown protocol, so the mutation cannot skip them.
-  /// Relaxed atomic for the same reason as translation_epoch_, with one
-  /// more wrinkle: pin validation *does* read it concurrently. Any bump
-  /// during a batch only ever invalidates pins (a pin can never validate
-  /// against an epoch it was not filled under), and the events that bump
-  /// it wholesale (page-table growth, session begin/end, observer/scalar
-  /// flips) are excluded from parallel regions by contract, so a confined
-  /// task's pins see exactly the serial validation outcomes.
-  std::atomic<uint64_t> mapping_epoch_{1};
+  uint64_t mapping_epoch_ = 1;
   bool scalar_datapath_ = false;
 
   // Resilience state (inert without a fabric fault injector). Per-shard
@@ -977,7 +963,7 @@ inline bool ExecutionContext::PinnedRunReady(const PagePin& pin, VAddr addr,
   // every raw pointer in the pin (page-table growth bumps it); only then
   // may the page's own shootdown counter be dereferenced.
   return addr >= pin.v_lo && addr + len - 1 <= pin.v_hi &&
-         pin.map_epoch == ms_->mapping_epoch_.load(std::memory_order_relaxed) &&
+         pin.map_epoch == ms_->mapping_epoch_ &&
          (write ? pin.write_ok : pin.read_ok) &&
          *pin.stream_slot == pin.page &&
          *pin.page_epoch_ptr == pin.page_epoch;

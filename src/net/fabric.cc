@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -27,8 +26,12 @@ std::string_view BackendToString(Backend backend) {
 Backend BackendFromEnv() {
   const char* v = std::getenv("TELEPORT_FABRIC_BACKEND");
   if (v == nullptr || v[0] == '\0') return Backend::kIdeal;
-  if (std::strcmp(v, "queued_rdma") == 0) return Backend::kQueuedRdma;
-  if (std::strcmp(v, "smartnic") == 0) return Backend::kSmartNic;
+  for (const Backend b :
+       {Backend::kIdeal, Backend::kQueuedRdma, Backend::kSmartNic}) {
+    if (BackendToString(b) == v) return b;
+  }
+  TELEPORT_CHECK(false) << "TELEPORT_FABRIC_BACKEND=\"" << v
+                        << "\": expected ideal, queued_rdma or smartnic";
   return Backend::kIdeal;
 }
 
@@ -356,10 +359,9 @@ Nanos Fabric::QueueBacklogNs(Link link, Nanos now) const {
 }
 
 void Fabric::DrainQueueStats(sim::Metrics& m) {
-  // kIdeal never touches the queue machinery, so pending_ stays all-zero and
-  // draining would be a no-op — except that the reset below is a plain write
-  // to shared fabric state, which tasks co-stepped by the parallel engine
-  // (only ever eligible under kIdeal) would race on. Skip it entirely.
+  // kIdeal never touches the queue machinery, so pending_ stays all-zero
+  // and the drain, which charge points call after every send, can return
+  // at once.
   if (backend_ == Backend::kIdeal) return;
   m.netq_queued_sends += pending_.queued_sends;
   m.netq_queue_wait_ns += pending_.queue_wait_ns;
@@ -462,8 +464,8 @@ void Fabric::Reset() {
   std::fill(reachable_.begin(), reachable_.end(), 1);
   std::fill(fail_from_.begin(), fail_from_.end(), -1);
   std::fill(fail_until_.begin(), fail_until_.end(), kNeverHeals);
-  for (auto& n : messages_by_kind_) n.store(0, std::memory_order_relaxed);
-  for (auto& n : bytes_by_kind_) n.store(0, std::memory_order_relaxed);
+  messages_by_kind_.fill(0);
+  bytes_by_kind_.fill(0);
   for (QueueState& qs : q_c2m_) qs = QueueState{};
   for (QueueState& qs : q_m2c_) qs = QueueState{};
   std::fill(nic_busy_.begin(), nic_busy_.end(), 0);

@@ -2,7 +2,6 @@
 #define TELEPORT_NET_FABRIC_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -64,9 +63,10 @@ enum class Backend {
 
 std::string_view BackendToString(Backend backend);
 
-/// Backend selected by the TELEPORT_FABRIC_BACKEND environment variable
-/// ("ideal" / "queued_rdma" / "smartnic"); kIdeal when unset, empty, or
-/// unrecognized. Read once per Fabric construction, mirroring the
+/// Backend selected by the TELEPORT_FABRIC_BACKEND environment variable:
+/// exactly "ideal", "queued_rdma" or "smartnic"; kIdeal when unset or
+/// empty. Any other value aborts naming the variable and the accepted
+/// values. Read once per Fabric construction, mirroring the
 /// TELEPORT_SCALAR_DATAPATH / TELEPORT_JOURNAL knob pattern.
 Backend BackendFromEnv();
 
@@ -292,14 +292,6 @@ class Fabric {
 
   const sim::CostParams& params() const { return params_; }
 
-  /// Minimum one-way delivery latency of any link: the propagation floor
-  /// below which no message — under any backend, with or without queueing —
-  /// can cross the fabric. This is the conservative lookahead of the
-  /// parallel discrete-event engine (Interleaver::set_lookahead): two tasks
-  /// whose clocks differ by less than this cannot influence each other
-  /// within the current batch even in principle.
-  Nanos MinDeliveryLatencyNs() const { return params_.net_latency_ns; }
-
   /// Simulates a network / memory-node hardware failure: subsequent
   /// pushdown attempts observe an unreachable pool. (The real system
   /// triggers a kernel panic, §3.2; we surface Status::Unavailable.)
@@ -384,12 +376,10 @@ class Fabric {
   /// counters instead). Separates coherence vs control traffic for
   /// Fig 22-style benches.
   uint64_t messages_of(MessageKind kind) const {
-    return messages_by_kind_[static_cast<size_t>(kind)].load(
-        std::memory_order_relaxed);
+    return messages_by_kind_[static_cast<size_t>(kind)];
   }
   uint64_t bytes_of(MessageKind kind) const {
-    return bytes_by_kind_[static_cast<size_t>(kind)].load(
-        std::memory_order_relaxed);
+    return bytes_by_kind_[static_cast<size_t>(kind)];
   }
   std::string KindBreakdownToString() const;
 
@@ -512,14 +502,10 @@ class Fabric {
                  Nanos at);
 
   void CountDelivered(MessageKind kind, uint64_t bytes, int copies) {
-    // Relaxed atomics: links are otherwise pairwise-disjoint, and these
-    // whole-fabric totals are commutative sums, so parallel tasks on
-    // disjoint links may bump them concurrently without changing any
-    // readable value at a batch boundary.
-    messages_by_kind_[static_cast<size_t>(kind)].fetch_add(
-        static_cast<uint64_t>(copies), std::memory_order_relaxed);
-    bytes_by_kind_[static_cast<size_t>(kind)].fetch_add(
-        bytes * static_cast<uint64_t>(copies), std::memory_order_relaxed);
+    messages_by_kind_[static_cast<size_t>(kind)] +=
+        static_cast<uint64_t>(copies);
+    bytes_by_kind_[static_cast<size_t>(kind)] +=
+        bytes * static_cast<uint64_t>(copies);
   }
 
   sim::CostParams params_;
@@ -532,8 +518,8 @@ class Fabric {
   std::vector<Nanos> fail_until_;           ///< per memory node
   FaultInjector* injector_ = nullptr;
   sim::Tracer* tracer_ = nullptr;
-  std::array<std::atomic<uint64_t>, kNumMessageKinds> messages_by_kind_{};
-  std::array<std::atomic<uint64_t>, kNumMessageKinds> bytes_by_kind_{};
+  std::array<uint64_t, kNumMessageKinds> messages_by_kind_{};
+  std::array<uint64_t, kNumMessageKinds> bytes_by_kind_{};
 
   // Contended-backend state (untouched while backend_ == kIdeal).
   Backend backend_ = Backend::kIdeal;

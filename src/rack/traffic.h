@@ -29,9 +29,9 @@ std::string_view WorkloadKindToString(WorkloadKind k);
 /// read-modify-write scatter, oltp = radix index probe ending in a
 /// version-bump RMW. All offsets are 8-byte aligned inside
 /// [slice, slice + slice_bytes); the returned digest is a pure function of
-/// (kernel_seed, kind, slice contents). Exported so the host-parallel
-/// benches can pin exactly this workload to a (node, shard) partition and
-/// compare serial vs parallel digests.
+/// (kernel_seed, kind, slice contents). Exported so benches and tests can
+/// run exactly this workload as a CoopTask body on one (node, shard) of a
+/// rack and compare digests across schedules.
 uint64_t RunKernel(ddc::ExecutionContext& c, WorkloadKind kind,
                    ddc::VAddr slice, uint64_t slice_bytes, int ops,
                    uint64_t kernel_seed);

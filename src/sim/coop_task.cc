@@ -5,12 +5,8 @@
 namespace teleport::sim {
 
 CoopTask::CoopTask(std::vector<ddc::ExecutionContext*> ctxs,
-                   std::function<void()> body, int quantum,
-                   TaskPartition partition)
-    : ctxs_(std::move(ctxs)),
-      body_(std::move(body)),
-      quantum_(quantum),
-      partition_(partition) {
+                   std::function<void()> body, int quantum)
+    : ctxs_(std::move(ctxs)), body_(std::move(body)), quantum_(quantum) {
   TELEPORT_CHECK(!ctxs_.empty()) << "CoopTask needs at least one context";
   TELEPORT_CHECK(quantum_ > 0);
   worker_ = std::thread([this] { WorkerMain(); });
@@ -53,18 +49,6 @@ void CoopTask::Step() {
   cv_.wait(lk, [this] { return turn_ == Turn::kScheduler || done_; });
 }
 
-void CoopTask::BeginStep() {
-  std::unique_lock<std::mutex> lk(mu_);
-  TELEPORT_DCHECK(!done_);
-  turn_ = Turn::kWorker;
-  cv_.notify_all();
-}
-
-void CoopTask::FinishStep() {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [this] { return turn_ == Turn::kScheduler || done_; });
-}
-
 uint64_t CoopTask::StepBatch(Nanos bound, bool inclusive) {
   std::unique_lock<std::mutex> lk(mu_);
   TELEPORT_DCHECK(!done_);
@@ -96,7 +80,7 @@ void CoopTask::YieldHook(void* self) {
     // and our contexts are quiescent: deciding here — would the
     // smallest-clock policy re-pick us anyway? — needs no lock. If yes,
     // keep running; this elides the park/unpark round trip the serial
-    // scheduler would otherwise pay per quantum (satellite 6).
+    // scheduler would otherwise pay per quantum.
     const Nanos c = t->WorkerClock();
     if (c < t->batch_bound_ || (t->batch_inclusive_ && c == t->batch_bound_)) {
       ++t->batch_continues_;
@@ -140,12 +124,6 @@ void CoopTask::WorkerMain() {
   done_ = true;
   turn_ = Turn::kScheduler;
   cv_.notify_all();
-}
-
-bool ParallelEligible(ddc::MemorySystem& ms) {
-  return ms.fabric().backend() == net::Backend::kIdeal &&
-         ms.fabric().fault_injector() == nullptr &&
-         ms.coherence_observer() == nullptr && ms.tracer() == nullptr;
 }
 
 }  // namespace teleport::sim

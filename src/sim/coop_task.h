@@ -21,7 +21,9 @@ namespace teleport::sim {
 /// the quantum fills the body parks and Step() returns. Exactly one thread
 /// is ever runnable (strict mutex/condvar handoff), so execution remains
 /// fully deterministic — the host thread is a coroutine substitute, not a
-/// source of parallelism.
+/// source of parallelism. The mutex handoff also orders the body's
+/// MemorySystem and Fabric accesses against the scheduler's, so neither
+/// needs atomics of its own.
 ///
 /// The hooked contexts must be used by no other CoopTask; the body must
 /// confine its simulated work to them (work on un-hooked contexts simply
@@ -31,16 +33,9 @@ class CoopTask : public Task {
   /// `ctxs`: the contexts whose accesses drive preemption; ctxs[0] is the
   /// primary (its virtual clock dominates ours between handoffs). `body`
   /// runs once on the worker thread. `quantum` = charged operations per
-  /// Step() (1 gives the finest interleaving). `partition` opts the task
-  /// into conservative parallel stepping (Interleaver::set_host_threads);
-  /// a non-exclusive partition is a promise that the body touches pages of
-  /// exactly that memory shard from exactly that compute node, runs no
-  /// pushdown sessions, and takes no cross-task host locks (e.g. the OLTP
-  /// commit latch) — violations are data races, which the TSAN CI job and
-  /// the two-scale bit-identity tests exist to catch.
+  /// Step() (1 gives the finest interleaving).
   CoopTask(std::vector<ddc::ExecutionContext*> ctxs,
-           std::function<void()> body, int quantum = 1,
-           TaskPartition partition = {});
+           std::function<void()> body, int quantum = 1);
 
   /// Joins the worker. If the task was abandoned mid-run (explorer bounds,
   /// failed test), the body is unwound with a private exception from its
@@ -53,15 +48,6 @@ class CoopTask : public Task {
   Nanos clock() const override;
   bool done() const override;
   void Step() override;
-
-  TaskPartition partition() const override { return partition_; }
-
-  /// Split-phase Step: BeginStep wakes the worker and returns immediately;
-  /// FinishStep blocks until the quantum committed. Between the two, the
-  /// worker runs concurrently with other batch members' workers on real
-  /// host threads — the only place true parallelism enters the simulator.
-  void BeginStep() override;
-  void FinishStep() override;
 
   /// Runs consecutive quanta without parking while the task clock stays
   /// below `bound` (or equal when `inclusive`), paying one condvar round
@@ -85,7 +71,6 @@ class CoopTask : public Task {
   std::vector<ddc::ExecutionContext*> ctxs_;
   std::function<void()> body_;
   const int quantum_;
-  const TaskPartition partition_;
   int used_ = 0;  // charged ops in the current quantum (worker-only)
 
   mutable std::mutex mu_;
@@ -102,15 +87,6 @@ class CoopTask : public Task {
   uint64_t batch_continues_ = 0;
   std::thread worker_;
 };
-
-/// True when `ms` is configured so disjoint-(node, shard) CoopTasks may
-/// legally step in parallel: the ideal fabric backend (contended backends
-/// serialize through shared queue state), no fault injector (its RNG
-/// sequence depends on global delivery order), no coherence observer and no
-/// tracer (both append to shared logs whose order is the output). Callers
-/// fall back to host_threads = 1 when this is false — results are identical
-/// either way, only wall clock differs.
-bool ParallelEligible(ddc::MemorySystem& ms);
 
 }  // namespace teleport::sim
 

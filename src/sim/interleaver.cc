@@ -1,6 +1,5 @@
 #include "sim/interleaver.h"
 
-#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -22,20 +21,8 @@ size_t SmallestClockSchedule::Pick(const std::vector<size_t>& runnable,
 }
 
 size_t RandomSchedule::Pick(const std::vector<size_t>& runnable,
-                            const std::vector<Task*>& tasks) {
-  const std::vector<size_t>* pool = &runnable;
-  if (max_skew_ != kUnboundedSkew) {
-    Nanos min_clock = tasks[runnable.front()]->clock();
-    for (const size_t i : runnable) {
-      if (tasks[i]->clock() < min_clock) min_clock = tasks[i]->clock();
-    }
-    eligible_.clear();
-    for (const size_t i : runnable) {
-      if (tasks[i]->clock() <= min_clock + max_skew_) eligible_.push_back(i);
-    }
-    pool = &eligible_;  // never empty: the min-clock task always qualifies
-  }
-  return (*pool)[rng_.Uniform(pool->size())];
+                            const std::vector<Task*>& /*tasks*/) {
+  return runnable[rng_.Uniform(runnable.size())];
 }
 
 size_t ReplaySchedule::Pick(const std::vector<size_t>& runnable,
@@ -76,21 +63,7 @@ std::vector<uint32_t> TraceFromString(const std::string& s) {
 
 Nanos Interleaver::Run() { return RunUntil(kForever); }
 
-void Interleaver::FlushParCounters(Metrics& m) {
-  m.par_batches += par_.batches;
-  m.par_parallel_steps += par_.parallel_steps;
-  m.par_lookahead_stalls += par_.lookahead_stalls;
-  m.par_handoff_waits += par_.handoff_waits;
-  m.par_batched_quanta += par_.batched_quanta;
-  par_ = ParCounters{};
-}
-
 Nanos Interleaver::RunUntil(Nanos deadline) {
-  if (host_threads_ > 1 && schedule_ == nullptr && !record_trace_) {
-    return RunUntilParallel(deadline);
-  }
-  SmallestClockSchedule default_schedule;
-  Schedule* schedule = schedule_ != nullptr ? schedule_ : &default_schedule;
   std::vector<size_t> runnable;
   Nanos max_clock = 0;
   while (true) {
@@ -140,83 +113,12 @@ Nanos Interleaver::RunUntil(Nanos deadline) {
       }
       continue;
     }
-    const size_t pick = schedule->Pick(runnable, tasks_);
+    const size_t pick = schedule_->Pick(runnable, tasks_);
     TELEPORT_DCHECK(!tasks_[pick]->done());
     if (record_trace_) trace_.push_back(static_cast<uint32_t>(pick));
     tasks_[pick]->Step();
     par_.handoff_waits += 1;
     if (tasks_[pick]->clock() > max_clock) max_clock = tasks_[pick]->clock();
-  }
-  for (Task* t : tasks_) {
-    if (t->clock() > max_clock) max_clock = t->clock();
-  }
-  return max_clock;
-}
-
-Nanos Interleaver::RunUntilParallel(Nanos deadline) {
-  // Conservative (CMB-style, null-message-free) commit loop. Each round:
-  //   1. order the runnable tasks by (clock, registration index) — the
-  //      exact serial smallest-clock order;
-  //   2. admit tasks in that order while their clock is inside the
-  //      lookahead window AND they conflict with no already-admitted and
-  //      no already-excluded task (the excluded check preserves the serial
-  //      relative order of every conflicting pair: a task never overtakes
-  //      an earlier-ordered task it shares a node or shard with);
-  //   3. step the whole batch concurrently (split-phase), then barrier.
-  // Steps inside a batch touch pairwise-disjoint simulator state, so they
-  // commute; across batches, each shared resource sees its operations in
-  // serial order — which is why the result is bit-identical to serial.
-  std::vector<size_t> order, batch, excluded;
-  Nanos max_clock = 0;
-  while (true) {
-    order.clear();
-    for (size_t i = 0; i < tasks_.size(); ++i) {
-      Task* t = tasks_[i];
-      if (t->done()) continue;
-      if (t->clock() >= deadline) continue;
-      order.push_back(i);
-    }
-    if (order.empty()) break;
-    std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-      return tasks_[a]->clock() < tasks_[b]->clock();
-    });
-    const Nanos min_clock = tasks_[order.front()]->clock();
-    const bool windowed = lookahead_ != kUnboundedLookahead;
-    batch.clear();
-    excluded.clear();
-    for (size_t k = 0; k < order.size(); ++k) {
-      const size_t i = order[k];
-      if (!batch.empty()) {
-        if (windowed && tasks_[i]->clock() - min_clock >= lookahead_) {
-          // Sorted order: everything from here on is outside the window.
-          par_.lookahead_stalls += order.size() - k;
-          break;
-        }
-        if (batch.size() >= static_cast<size_t>(host_threads_)) break;
-      }
-      const TaskPartition p = tasks_[i]->partition();
-      bool conflict = false;
-      for (const size_t j : batch) {
-        if (p.ConflictsWith(tasks_[j]->partition())) conflict = true;
-      }
-      for (const size_t j : excluded) {
-        if (p.ConflictsWith(tasks_[j]->partition())) conflict = true;
-      }
-      (conflict ? excluded : batch).push_back(i);
-    }
-    TELEPORT_DCHECK(!batch.empty());
-    if (batch.size() == 1) {
-      tasks_[batch.front()]->Step();
-    } else {
-      for (const size_t i : batch) tasks_[i]->BeginStep();
-      for (const size_t i : batch) tasks_[i]->FinishStep();
-      par_.parallel_steps += batch.size();
-    }
-    par_.batches += 1;
-    par_.handoff_waits += batch.size();
-    for (const size_t i : batch) {
-      if (tasks_[i]->clock() > max_clock) max_clock = tasks_[i]->clock();
-    }
   }
   for (Task* t : tasks_) {
     if (t->clock() > max_clock) max_clock = t->clock();

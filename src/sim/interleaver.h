@@ -8,27 +8,8 @@
 
 #include "common/rng.h"
 #include "common/units.h"
-#include "sim/metrics.h"
 
 namespace teleport::sim {
-
-/// Placement of a task on the simulated rack, consumed by the parallel
-/// engine (Interleaver::set_host_threads) to decide which tasks may step
-/// concurrently. Two tasks conflict — and are never co-stepped — when
-/// either is exclusive or they share a compute node or a memory shard: a
-/// node's tasks share that node's cache LRU, a shard's tasks share its pool
-/// LRU/journal, so only fully disjoint pairs commute. The default is
-/// exclusive, which serializes the task against everything (the pre-PR10
-/// behavior, and the only safe choice for tasks that run pushdown sessions,
-/// take host locks, or touch pages outside one shard).
-struct TaskPartition {
-  int node = -1;   ///< compute node owned by this task; -1 = exclusive
-  int shard = -1;  ///< memory shard confining its pages; -1 = exclusive
-  bool exclusive() const { return node < 0 || shard < 0; }
-  bool ConflictsWith(const TaskPartition& o) const {
-    return exclusive() || o.exclusive() || node == o.node || shard == o.shard;
-  }
-};
 
 /// A resumable simulated thread. Concrete tasks wrap an ExecutionContext and
 /// perform a small batch of work per Step(), advancing their virtual clock.
@@ -44,18 +25,6 @@ class Task {
 
   /// Performs the next batch of work. Called only while !done().
   virtual void Step() = 0;
-
-  /// Rack placement for conservative parallel stepping; exclusive unless a
-  /// concrete task opts in (sim::CoopTask's partition constructor arg).
-  virtual TaskPartition partition() const { return {}; }
-
-  /// Split-phase Step for parallel batches: BeginStep launches the next
-  /// step without waiting for it, FinishStep blocks until it committed.
-  /// The engine calls BeginStep on every member of a batch, then FinishStep
-  /// on every member, so CoopTask workers overlap on host threads. The
-  /// defaults run Step() inline — always correct, just serial.
-  virtual void BeginStep() { Step(); }
-  virtual void FinishStep() {}
 
   /// Runs consecutive quanta without returning to the scheduler while the
   /// task's clock stays below `bound` (or equal to it when `inclusive`),
@@ -97,25 +66,18 @@ class SmallestClockSchedule : public Schedule {
 };
 
 /// Seeded-random exploration schedule: picks uniformly among the runnable
-/// tasks, optionally restricted to those within `max_skew` of the minimum
-/// clock (an unbounded skew lets one simulated thread race arbitrarily far
-/// ahead, which is legal but unphysical; a bound keeps schedules plausible).
-/// Distinct seeds yield distinct interleavings with overwhelming
-/// probability, and the same seed replays bit-identically.
+/// tasks, one RNG draw per pick. Distinct seeds yield distinct
+/// interleavings with overwhelming probability, and the same seed replays
+/// bit-identically.
 class RandomSchedule : public Schedule {
  public:
-  static constexpr Nanos kUnboundedSkew = -1;
-
-  explicit RandomSchedule(uint64_t seed, Nanos max_skew = kUnboundedSkew)
-      : rng_(seed), max_skew_(max_skew) {}
+  explicit RandomSchedule(uint64_t seed) : rng_(seed) {}
 
   size_t Pick(const std::vector<size_t>& runnable,
               const std::vector<Task*>& tasks) override;
 
  private:
   Rng rng_;
-  Nanos max_skew_;
-  std::vector<size_t> eligible_;  // scratch, reused across picks
 };
 
 /// Replays a recorded schedule trace (the per-step task indices emitted by
@@ -155,24 +117,13 @@ std::vector<uint32_t> TraceFromString(const std::string& s);
 /// DfsExplorer sweep alternative interleavings for the concurrency tests.
 class Interleaver {
  public:
-  /// Host-execution counters of one Run(): how the engine dispatched work,
-  /// not what the simulated system did. Deliberately kept out of the
-  /// contexts' Metrics — they depend on the host-thread/lookahead config,
-  /// so folding them in would break cross-thread-count bit-identity. A
-  /// caller that wants them in a dump calls FlushParCounters explicitly.
+  /// Host-dispatch counters accumulated over Run()/RunUntil() calls: how
+  /// the scheduler handed work to tasks, not what the simulated system
+  /// did, so they stay out of the contexts' Metrics.
   struct ParCounters {
-    uint64_t batches = 0;          ///< commit rounds (parallel engine only)
-    uint64_t parallel_steps = 0;   ///< steps committed in batches of >= 2
-    uint64_t lookahead_stalls = 0; ///< runnable tasks held back by horizon
-    uint64_t handoff_waits = 0;    ///< scheduler->task dispatch round trips
-    uint64_t batched_quanta = 0;   ///< extra quanta run without a handoff
+    uint64_t handoff_waits = 0;   ///< scheduler->task dispatch round trips
+    uint64_t batched_quanta = 0;  ///< extra quanta run without a handoff
   };
-
-  /// Sentinel lookahead: batch every runnable task regardless of clock
-  /// skew. Sound only for fully disjoint partitions (which is the only
-  /// thing the engine ever co-steps anyway); the conservative choice is
-  /// the fabric's minimum delivery latency (Fabric::MinDeliveryLatencyNs).
-  static constexpr Nanos kUnboundedLookahead = -1;
 
   /// Registers a task. Does not take ownership; tasks must outlive Run().
   void Add(Task* task) { tasks_.push_back(task); }
@@ -185,30 +136,7 @@ class Interleaver {
   void set_record_trace(bool on) { record_trace_ = on; }
   const std::vector<uint32_t>& trace() const { return trace_; }
 
-  /// Opt-in conservative parallel stepping (TELEPORT_HOST_THREADS): with
-  /// n > 1, tasks pinned to pairwise-disjoint (node, shard) partitions
-  /// whose clocks lie within the lookahead window step concurrently, in
-  /// batches committed in virtual-time order. Requires the default
-  /// schedule and no trace recording; otherwise (and with n == 1, the
-  /// default) the serial path runs. Bit-identity vs serial holds because
-  /// (a) batch membership is a pure function of task clocks and
-  /// registration order, (b) steps of disjoint partitions touch disjoint
-  /// simulator state (shared totals are relaxed atomic sums, which are
-  /// order-independent), and (c) for any two conflicting tasks the commit
-  /// order of their steps equals the serial smallest-clock order.
-  void set_host_threads(int n) { host_threads_ = n; }
-
-  /// Lookahead window of the parallel engine in virtual nanoseconds: tasks
-  /// more than this far ahead of the minimum clock wait (counted as
-  /// lookahead stalls). Callers derive it from the fabric's minimum
-  /// one-way delivery latency; kUnboundedLookahead disables the window.
-  void set_lookahead(Nanos ns) { lookahead_ = ns; }
-
   const ParCounters& par_counters() const { return par_; }
-
-  /// Adds the engine counters to `m`'s par_* fields and zeroes them. Not
-  /// called implicitly — see ParCounters.
-  void FlushParCounters(Metrics& m);
 
   /// Runs all tasks to completion; returns the maximum finishing clock
   /// (the simulated wall time of the parallel region).
@@ -219,14 +147,10 @@ class Interleaver {
   Nanos RunUntil(Nanos deadline);
 
  private:
-  Nanos RunUntilParallel(Nanos deadline);
-
   std::vector<Task*> tasks_;
   Schedule* schedule_ = nullptr;
   bool record_trace_ = false;
   std::vector<uint32_t> trace_;
-  int host_threads_ = 1;
-  Nanos lookahead_ = 0;
   ParCounters par_;
 };
 

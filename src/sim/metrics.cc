@@ -28,15 +28,12 @@ std::string Metrics::ToString() const {
   };
   // Opt-in groups are elided while all-zero so golden dumps predating the
   // feature stay byte-identical: txn exists only when the OLTP engine ran,
-  // netq only when a contended fabric backend (non-kIdeal) was active, par
-  // only when a caller flushed Interleaver host-dispatch counters.
+  // netq only when a contended fabric backend (non-kIdeal) was active.
   bool txn_all_zero = true;
   bool netq_all_zero = true;
-  bool par_all_zero = true;
   for (const Row& r : rows) {
     if (r.group == "txn" && r.value != 0) txn_all_zero = false;
     if (r.group == "netq" && r.value != 0) netq_all_zero = false;
-    if (r.group == "par" && r.value != 0) par_all_zero = false;
   }
   std::ostringstream os;
   std::string_view current;
@@ -44,7 +41,6 @@ std::string Metrics::ToString() const {
     if (r.group == "none") continue;
     if (r.group == "txn" && txn_all_zero) continue;
     if (r.group == "netq" && netq_all_zero) continue;
-    if (r.group == "par" && par_all_zero) continue;
     if (r.group != current) {
       if (!current.empty()) os << "\n";
       os << GroupLabel(r.group) << ": ";

@@ -69,14 +69,7 @@ namespace teleport::sim {
   X(btree_splits, txn, node_splits)                                           \
   X(btree_merges, txn, node_merges)                                           \
   /* CPU accounting. */                                                       \
-  X(cpu_ops, cpu, ops)                                                        \
-  /* Host-parallel engine (PR10; zero unless Interleaver::FlushParCounters   \
-     is called — the counters describe host dispatch, not simulated work). */ \
-  X(par_batches, par, batches)                                                \
-  X(par_parallel_steps, par, parallel_steps)                                  \
-  X(par_lookahead_stalls, par, lookahead_stalls)                              \
-  X(par_handoff_waits, par, handoff_waits)                                    \
-  X(par_batched_quanta, par, batched_quanta)
+  X(cpu_ops, cpu, ops)
 
 /// Event counters accumulated by the DDC simulator. A context owns one
 /// Metrics; scopes (e.g. one relational operator) can snapshot-and-diff to

@@ -13,14 +13,12 @@ int HostThreadsFromEnv() {
   const char* env = std::getenv("TELEPORT_HOST_THREADS");
   if (env == nullptr || *env == '\0') return 1;
   char* end = nullptr;
+  // Out-of-range input saturates to LONG_MIN/LONG_MAX, which the bounds
+  // below reject too.
   const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0') {
-    TELEPORT_LOG(kWarning) << "ignoring malformed TELEPORT_HOST_THREADS=\""
-                           << env << "\"";
-    return 1;
-  }
-  if (v < 1) return 1;
-  if (v > kMaxHostThreads) return kMaxHostThreads;
+  TELEPORT_CHECK(end != env && *end == '\0' && v >= 1 && v <= kMaxHostThreads)
+      << "TELEPORT_HOST_THREADS=\"" << env << "\": expected an integer in [1, "
+      << kMaxHostThreads << "]";
   return static_cast<int>(v);
 }
 

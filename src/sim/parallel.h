@@ -7,24 +7,23 @@
 
 namespace teleport::sim {
 
-/// Reads TELEPORT_HOST_THREADS. Unset, empty, non-numeric, or < 1 all mean
-/// 1 (the serial path); values are clamped to kMaxHostThreads so a typo
-/// cannot fork thousands of threads.
-int HostThreadsFromEnv();
-
 inline constexpr int kMaxHostThreads = 256;
 
-/// Tier A of the host-parallel engine: runs independent jobs — whole figure
-/// legs, each owning a private MemorySystem/Fabric/Metrics/Tracer arena — on
-/// a pool of host threads. The runner provides scheduling only; isolation is
-/// the caller's contract (a job must not touch another job's arena; shared
-/// simulator totals such as log level or fabric byte counters are relaxed
-/// atomics, so cross-leg interleaving cannot change any per-leg result).
-/// Output determinism is restored by the caller collecting per-job results
-/// into index-addressed slots and merging them in job order after Run
-/// returns — see bench::RunLegs, which buffers each leg's BenchRecord JSONL
-/// through a thread-local sink and flushes in leg order, byte-identical to
-/// a serial run.
+/// Reads TELEPORT_HOST_THREADS: unset or empty means 1 (the serial path);
+/// otherwise it must be an integer in [1, kMaxHostThreads], and any other
+/// value aborts naming the variable and the accepted range.
+int HostThreadsFromEnv();
+
+/// Runs independent jobs — whole figure legs, each owning a private
+/// MemorySystem/Fabric/Metrics/Tracer arena — on a pool of host threads.
+/// The runner provides scheduling only; isolation is the caller's contract
+/// (a job must not touch another job's arena, and the only state legs
+/// share is the process-wide log level, which is atomic). Output
+/// determinism is restored by the caller collecting per-job results into
+/// index-addressed slots and merging them in job order after Run returns —
+/// see bench::RunLegs, which buffers each leg's BenchRecord JSONL through a
+/// thread-local sink and flushes in leg order, byte-identical to a serial
+/// run.
 class LegRunner {
  public:
   /// n <= 1 (or a single job) runs everything inline on the calling thread.

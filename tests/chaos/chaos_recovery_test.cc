@@ -226,7 +226,24 @@ TEST(JournalKnobTest, EnvironmentVariableEnablesTheJournal) {
     ddc::MemorySystem ms(Config(), sim::CostParams::Default(), 16 << 20);
     EXPECT_FALSE(ms.journal_enabled());
   }
+  ::setenv("TELEPORT_JOURNAL", "", 1);
+  {
+    ddc::MemorySystem ms(Config(), sim::CostParams::Default(), 16 << 20);
+    EXPECT_FALSE(ms.journal_enabled());
+  }
   ::unsetenv("TELEPORT_JOURNAL");
+}
+
+TEST(JournalKnobTest, AnyValueButZeroOrOneAborts) {
+  for (const char* bad : {"false", "true", "yes", "2", "01", " 1"}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("TELEPORT_JOURNAL", bad, 1);
+          ddc::MemorySystem ms(Config(), sim::CostParams::Default(), 16 << 20);
+        },
+        "TELEPORT_JOURNAL.*expected 0 or 1")
+        << bad;
+  }
 }
 
 // --- Property: N consecutive crash-restart windows. ----------------------

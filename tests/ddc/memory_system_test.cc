@@ -1,6 +1,7 @@
 #include "ddc/memory_system.h"
 
 #include <cstdint>
+#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,18 @@ DdcConfig SmallDdc() {
   c.compute_cache_bytes = 4 * kPage;
   c.memory_pool_bytes = 64 * kPage;
   return c;
+}
+
+TEST(MemorySystemTest, ScalarDatapathKnobAcceptsOnlyZeroOrOne) {
+  for (const char* bad : {"yes", "true", "2", "10"}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("TELEPORT_SCALAR_DATAPATH", bad, 1);
+          MemorySystem ms(SmallDdc(), sim::CostParams::Default(), 1 << 20);
+        },
+        "TELEPORT_SCALAR_DATAPATH.*expected 0 or 1")
+        << bad;
+  }
 }
 
 TEST(MemorySystemTest, StoreLoadRoundTrip) {

@@ -231,42 +231,6 @@ TEST(FormatGoldenTest, MetricsNetqGroupLineAndElision) {
       << one.ToString();
 }
 
-// The par group only exists when a caller flushed Interleaver host-dispatch
-// counters (Interleaver::FlushParCounters): the line lands after cpu, and
-// the all-zero group is elided so every serial golden —
-// MetricsToStringFullDump included — stays byte-identical at any
-// TELEPORT_HOST_THREADS value.
-TEST(FormatGoldenTest, MetricsParGroupLineAndElision) {
-  sim::Metrics m;
-  const std::string before = m.ToString();
-  EXPECT_EQ(before.find("par:"), std::string::npos)
-      << "all-zero par group must be elided";
-
-  m.par_batches = 5120;
-  m.par_parallel_steps = 4096;
-  m.par_lookahead_stalls = 88;
-  m.par_handoff_waits = 9216;
-  m.par_batched_quanta = 700;
-  EXPECT_NE(m.ToString().find(
-                "cpu: ops=0\n"
-                "par: batches=5120 parallel_steps=4096 lookahead_stalls=88 "
-                "handoff_waits=9216 batched_quanta=700"),
-            std::string::npos)
-      << m.ToString();
-  // Eliding the group is the only difference from the zero dump.
-  sim::Metrics zeroed;
-  EXPECT_EQ(zeroed.ToString(), before);
-
-  // Any single nonzero counter resurrects the whole line.
-  sim::Metrics one;
-  one.par_batched_quanta = 3;
-  EXPECT_NE(one.ToString().find(
-                "par: batches=0 parallel_steps=0 lookahead_stalls=0 "
-                "handoff_waits=0 batched_quanta=3"),
-            std::string::npos)
-      << one.ToString();
-}
-
 // The resilience line is what the chaos dashboards grep for; lock it in
 // the all-zero (fault-free) shape too.
 TEST(FormatGoldenTest, MetricsResilienceLineFaultFree) {

@@ -1,6 +1,7 @@
 #include "net/fabric.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -231,6 +232,18 @@ TEST(FabricBackendTest, NamesAreStable) {
   EXPECT_EQ(BackendToString(Backend::kIdeal), "ideal");
   EXPECT_EQ(BackendToString(Backend::kQueuedRdma), "queued_rdma");
   EXPECT_EQ(BackendToString(Backend::kSmartNic), "smartnic");
+}
+
+TEST(FabricBackendTest, UnknownEnvBackendAborts) {
+  for (const char* bad : {"queued-rdma", "QUEUED_RDMA", "rdma", "ideal "}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("TELEPORT_FABRIC_BACKEND", bad, 1);
+          BackendFromEnv();
+        },
+        "TELEPORT_FABRIC_BACKEND.*expected ideal, queued_rdma or smartnic")
+        << bad;
+  }
 }
 
 TEST(FabricBackendTest, IdealLeavesQueueMachineryUntouched) {

@@ -88,12 +88,11 @@ TEST(MetricsTest, AddAndDiffRoundTripEveryGeneratedField) {
 
 TEST(MetricsTest, EveryDumpedLabelAppearsInToString) {
   Metrics m;
-  // The txn, netq, and par groups are elided while all-zero (pre-OLTP,
-  // pre-contended-fabric, and serial-engine dumps stay byte-identical);
-  // make each nonzero so their labels are dumped too.
+  // The txn and netq groups are elided while all-zero (pre-OLTP and
+  // pre-contended-fabric dumps stay byte-identical); make each nonzero so
+  // their labels are dumped too.
   m.txn_commits = 1;
   m.netq_queued_sends = 1;
-  m.par_batches = 1;
   const std::string s = m.ToString();
 #define TELEPORT_METRICS_TEST_LABEL(field, group, label)                   \
   if (std::string(#group) != "none") {                                     \

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "ddc/memory_system.h"
+#include "rack/traffic.h"
 #include "sim/clock.h"
 #include "sim/coop_task.h"
 #include "sim/cost_model.h"
@@ -92,27 +93,6 @@ TEST(ScheduleTest, RandomScheduleSeedsProduceManyDistinctOrders) {
   }
   // 2^24 possible orders; 64 seeds colliding would mean a broken RNG.
   EXPECT_GE(seen.size(), 60u);
-}
-
-TEST(ScheduleTest, RandomScheduleBoundedSkewKeepsClocksClose) {
-  constexpr Nanos kSkew = 10;
-  TickTask a(0, 5, 200, nullptr);
-  TickTask b(1, 5, 200, nullptr);
-  RandomSchedule rs(7, kSkew);
-  Interleaver il;
-  il.Add(&a);
-  il.Add(&b);
-  il.set_schedule(&rs);
-  // Step manually through RunUntil slices to observe the invariant.
-  for (Nanos t = 100; t <= 1000; t += 100) {
-    il.RunUntil(t);
-    if (!a.done() && !b.done()) {
-      const Nanos gap = a.clock() > b.clock() ? a.clock() - b.clock()
-                                              : b.clock() - a.clock();
-      // One step can overshoot the bound by at most its own quantum.
-      EXPECT_LE(gap, kSkew + 5);
-    }
-  }
 }
 
 TEST(ScheduleTest, TraceRoundTripsThroughText) {
@@ -357,6 +337,91 @@ TEST(CoopTaskTest, AbandonedTaskUnwindsCleanly) {
     il.RunUntil(1);  // a slice, then abandon the task mid-body
   }  // destructor unwinds the parked body
   EXPECT_FALSE(finished);
+}
+
+struct RackOutcome {
+  std::vector<uint64_t> digests;
+  std::vector<Nanos> clocks;
+  std::vector<std::string> metrics;
+  std::vector<uint32_t> trace;
+  Nanos makespan = 0;
+  Interleaver::ParCounters par;
+};
+
+/// n CoopTasks on an n x n rack, task t on compute node t running rack
+/// kernels over its own slice. `explicit_schedule` installs
+/// SmallestClockSchedule, which dispatches one quantum per handoff: the
+/// unbatched reference for the default path's StepBatch.
+RackOutcome RunDiagonalRack(int n, bool explicit_schedule) {
+  constexpr uint64_t kPage = 4096;
+  constexpr uint64_t kSlicePages = 16;
+  ddc::DdcConfig cfg;
+  cfg.platform = ddc::Platform::kBaseDdc;
+  cfg.compute_nodes = n;
+  cfg.memory_shards = n;
+  cfg.compute_cache_bytes = 8 * kPage;
+  cfg.memory_pool_bytes = 64ULL * kPage * static_cast<uint64_t>(n);
+  ddc::MemorySystem ms(cfg, CostParams::Default(),
+                       static_cast<uint64_t>(n) * kSlicePages * kPage);
+  std::vector<VAddr> slices;
+  for (int t = 0; t < n; ++t) {
+    slices.push_back(
+        ms.space().Alloc(kSlicePages * kPage, "slice" + std::to_string(t)));
+  }
+  ms.SeedData();
+
+  RackOutcome out;
+  out.digests.assign(static_cast<size_t>(n), 0);
+  std::vector<std::unique_ptr<ddc::ExecutionContext>> ctxs;
+  std::vector<std::unique_ptr<CoopTask>> tasks;
+  Interleaver il;
+  SmallestClockSchedule reference;
+  for (int t = 0; t < n; ++t) {
+    ctxs.push_back(ms.CreateContext(ddc::Pool::kCompute, t, t));
+    ddc::ExecutionContext* ctx = ctxs.back().get();
+    const VAddr slice = slices[static_cast<size_t>(t)];
+    uint64_t* digest = &out.digests[static_cast<size_t>(t)];
+    tasks.push_back(std::make_unique<CoopTask>(
+        std::vector<ddc::ExecutionContext*>{ctx},
+        [ctx, slice, t, digest] {
+          for (int r = 0; r < 3; ++r) {
+            const auto kind = static_cast<rack::WorkloadKind>((t + r) % 4);
+            *digest += rack::RunKernel(*ctx, kind, slice, kSlicePages * kPage,
+                                       /*ops=*/300, 77 + 13 * t + r);
+          }
+        },
+        /*quantum=*/4));
+    il.Add(tasks.back().get());
+  }
+  if (explicit_schedule) il.set_schedule(&reference);
+  il.set_record_trace(true);
+  out.makespan = il.Run();
+  out.par = il.par_counters();
+  out.trace = il.trace();
+  for (const auto& ctx : ctxs) {
+    out.clocks.push_back(ctx->now());
+    out.metrics.push_back(ctx->metrics().ToString());
+  }
+  return out;
+}
+
+TEST(CoopTaskTest, BatchedSerialMatchesUnbatchedReferenceExactly) {
+  // StepBatch's handoff elision must reproduce the explicit
+  // SmallestClockSchedule run, per-quantum schedule trace included.
+  for (const int n : {2, 4}) {
+    const RackOutcome ref = RunDiagonalRack(n, /*explicit_schedule=*/true);
+    const RackOutcome batched = RunDiagonalRack(n, /*explicit_schedule=*/false);
+    EXPECT_EQ(ref.digests, batched.digests) << "n=" << n;
+    EXPECT_EQ(ref.clocks, batched.clocks) << "n=" << n;
+    EXPECT_EQ(ref.metrics, batched.metrics) << "n=" << n;
+    EXPECT_EQ(ref.makespan, batched.makespan) << "n=" << n;
+    EXPECT_EQ(ref.trace, batched.trace) << "n=" << n;
+    EXPECT_GT(batched.par.batched_quanta, 0u) << "n=" << n;
+    // Every elided quantum is a saved park/unpark round trip.
+    EXPECT_EQ(ref.par.handoff_waits,
+              batched.par.handoff_waits + batched.par.batched_quanta)
+        << "n=" << n;
+  }
 }
 
 }  // namespace
