@@ -21,7 +21,6 @@ ddc::DdcConfig BaseConfig(ddc::Platform platform, uint64_t working_set,
           : static_cast<uint64_t>(opts.pool_multiple *
                                   static_cast<double>(working_set));
   dc.memory_pool_clock_ratio = opts.memory_pool_clock_ratio;
-  dc.memory_pool_cores = opts.memory_pool_cores;
   dc.prefetch_pages = opts.prefetch_pages;
   return dc;
 }

@@ -34,10 +34,6 @@ class PlanExecutor {
     const uint64_t cpu0 = ctx_.metrics().cpu_ops;
     const uint64_t pg0 =
         ctx_.metrics().cache_misses + ctx_.metrics().dirty_writebacks;
-    const uint64_t rt0 = ctx_.metrics().retries;
-    const uint64_t fb0 = ctx_.metrics().fallbacks;
-    const uint64_t rc0 = ctx_.metrics().recovered_pool_writes;
-    const uint64_t fe0 = ctx_.metrics().fenced_rpcs;
     if (opts_.ShouldPush(name)) {
       prof.pushed = true;
       const Status st = opts_.runtime->Call(
@@ -57,10 +53,6 @@ class PlanExecutor {
     prof.cpu_ops = ctx_.metrics().cpu_ops - cpu0;
     prof.remote_pages = ctx_.metrics().cache_misses +
                         ctx_.metrics().dirty_writebacks - pg0;
-    prof.retries = ctx_.metrics().retries - rt0;
-    prof.fallbacks = ctx_.metrics().fallbacks - fb0;
-    prof.recovered = ctx_.metrics().recovered_pool_writes - rc0;
-    prof.fenced = ctx_.metrics().fenced_rpcs - fe0;
     result_.ops.push_back(std::move(prof));
   }
 

@@ -41,10 +41,6 @@ struct OperatorProfile {
   uint64_t cpu_ops = 0;       ///< simple operations charged by the kernel
   uint64_t rows_out = 0;
   bool pushed = false;
-  uint64_t retries = 0;    ///< RPC attempts repeated after injected drops
-  uint64_t fallbacks = 0;  ///< pushdowns re-run locally (§3.2 escape hatch)
-  uint64_t recovered = 0;  ///< journaled writes replayed by pool recoveries
-  uint64_t fenced = 0;     ///< stale-epoch admissions re-tried (PR6 fencing)
 
   /// §7.4 memory intensity: remote traffic per second of execution.
   double MemoryIntensity() const {

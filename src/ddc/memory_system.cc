@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "net/faults.h"
 #include "sim/tracer.h"
+#include "teleport/retry.h"
 
 namespace teleport::ddc {
 
@@ -578,13 +579,26 @@ void MemorySystem::ComputeTouch(ExecutionContext& ctx, PageId page,
     }
     // First touch of an anonymous page still round-trips to the pool: the
     // disaggregated OS forwards all new allocations through the memory
-    // pool's controller (§3), but no page payload moves.
-    const Nanos done =
-        fabric_.fault_injector() == nullptr
-            ? fabric_.RoundTripFromCompute(link, ctx.now(), 64, resp_bytes,
-                                           handler)
-            : RetriedPageFaultRpc(ctx, link, 64, resp_bytes, handler);
-    ctx.clock_.AdvanceTo(done);
+    // pool's controller (§3), but no page payload moves. A lost fault RPC
+    // is retried (§3.2); after 16 exhausted rounds the reliable transport,
+    // which retransmits below the RPC layer, carries it, so forward
+    // progress never depends on the injector's schedule.
+    const tp::RetryResult rpc = tp::Retry(
+        fabric_, link.dst, tp::RetryPolicy{}, retry_rng_, ctx.now(),
+        /*rounds=*/16,
+        [&](Nanos t) {
+          return fabric_.TryRoundTripFromCompute(
+              link, t, 64, resp_bytes, handler,
+              net::MessageKind::kPageFaultRequest,
+              net::MessageKind::kPageFaultReply);
+        },
+        [](Nanos) {});
+    ctx.metrics_.retries += rpc.retries;
+    ctx.metrics_.fault_events += rpc.retries;
+    ctx.clock_.AdvanceTo(rpc.delivered
+                             ? rpc.outcome.deliver_at
+                             : fabric_.RoundTripFromCompute(
+                                   link, rpc.at, 64, resp_bytes, handler));
     fabric_.DrainQueueStats(ctx.metrics_);
     ctx.metrics_.net_messages += 2;
     ctx.metrics_.net_bytes += 64 + resp_bytes;
@@ -630,41 +644,6 @@ void MemorySystem::MemoryTouch(ExecutionContext& ctx, PageId page,
   }
   ChargeDram(ctx, page, len);
   Notify(CoherenceEvent::Kind::kMemoryAccess, page, write, ctx.now());
-}
-
-Nanos MemorySystem::RetriedPageFaultRpc(ExecutionContext& ctx, net::Link link,
-                                        uint64_t req_bytes,
-                                        uint64_t resp_bytes,
-                                        Nanos handler_ns) {
-  tp::RetryStats stats;
-  Nanos t = ctx.now();
-  // Each round burns fault_retry_.max_attempts attempts; between rounds the
-  // caller waits out any scheduled outage (the heartbeat thread reports the
-  // heal time, §3.2). Rounds are capped so a pathological schedule cannot
-  // loop forever; after that the reliable transport carries the fault.
-  for (int round = 0; round < 16; ++round) {
-    const tp::RetryOutcome out = tp::RetryRoundTripFromCompute(
-        fabric_, fault_retry_, retry_rng_, t, req_bytes, resp_bytes,
-        handler_ns, net::MessageKind::kPageFaultRequest,
-        net::MessageKind::kPageFaultReply, &stats, link);
-    if (out.ok) {
-      retry_stats_.Add(stats);
-      ctx.metrics_.retries += stats.retries;
-      ctx.metrics_.fault_events += stats.retries;
-      return out.done;
-    }
-    t = out.gave_up_at;
-    const Nanos heal = fabric_.NextReachableAt(t, link.dst);
-    if (heal == net::Fabric::kNeverHeals) break;
-    if (heal > t) t = heal;
-  }
-  retry_stats_.Add(stats);
-  ctx.metrics_.retries += stats.retries;
-  ctx.metrics_.fault_events += stats.retries;
-  // Transport floor: ReliableDeliver retransmits below the RPC layer and
-  // cannot lose the message, so the fault always completes.
-  return fabric_.RoundTripFromCompute(link, t, req_bytes, resp_bytes,
-                                      handler_ns);
 }
 
 void MemorySystem::CoherenceComputeFault(ExecutionContext& ctx, PageId page,

@@ -17,7 +17,6 @@
 #include "sim/clock.h"
 #include "sim/cost_model.h"
 #include "sim/metrics.h"
-#include "teleport/retry.h"
 
 namespace teleport::ddc {
 
@@ -571,11 +570,7 @@ class MemorySystem {
 
   // --- Resilience (§3.2 failure handling) ---------------------------------
 
-  /// Policy for retrying page-fault RPCs when a fault injector is attached
-  /// to the fabric. Without an injector the fault path is untouched.
-  void set_fault_retry_policy(const tp::RetryPolicy& p) { fault_retry_ = p; }
-  const tp::RetryPolicy& fault_retry_policy() const { return fault_retry_; }
-  /// Reseeds the deterministic jitter stream used by fault-path retries.
+  /// Reseeds the deterministic jitter stream used by page-fault retries.
   void set_retry_seed(uint64_t seed) { retry_rng_ = Rng(seed); }
 
   /// Outcome of applying completed crash-restart windows (see
@@ -645,7 +640,6 @@ class MemorySystem {
     for (const ShardState& sh : shards_) n += sh.pool_restarts_applied;
     return n;
   }
-  const tp::RetryStats& fault_retry_stats() const { return retry_stats_; }
 
  private:
   friend class ExecutionContext;
@@ -791,15 +785,6 @@ class MemorySystem {
   /// §4.1 coherence: temporary-context faults during a pushdown session.
   void CoherenceMemoryFault(ExecutionContext& ctx, PageId page, bool write);
 
-  /// Page-fault RPC on `link` with retry/backoff under an attached fault
-  /// injector; falls through to the reliable transport after enough
-  /// exhausted rounds so forward progress never depends on the injector's
-  /// schedule. Charges retry metrics to `ctx` and returns the completion
-  /// time.
-  Nanos RetriedPageFaultRpc(ExecutionContext& ctx, net::Link link,
-                            uint64_t req_bytes, uint64_t resp_bytes,
-                            Nanos handler_ns);
-
   /// TLB shootdown of one page: invalidates every PagePin on `page` (pins
   /// on other pages survive) and advances the observable translation epoch
   /// the model checker watches. Gated on the kSkipTlbShootdown mutation so
@@ -897,9 +882,7 @@ class MemorySystem {
 
   // Resilience state (inert without a fabric fault injector). Per-shard
   // epochs, journals, and dedup tables live in shards_.
-  tp::RetryPolicy fault_retry_;
   Rng retry_rng_{0x7e1e904u};
-  tp::RetryStats retry_stats_;
   uint64_t lost_pool_writes_ = 0;
   uint64_t recovered_pool_writes_ = 0;
   /// Redo-journal enable knob (TELEPORT_JOURNAL); applies to every shard.

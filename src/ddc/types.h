@@ -74,10 +74,6 @@ struct DdcConfig {
   /// Memory-pool DRAM capacity; pages beyond it spill to the storage pool.
   uint64_t memory_pool_bytes = 8 * kGiB;
 
-  /// Physical cores available for pushdown user contexts in the memory pool
-  /// (§7.3: the pool has scarce compute).
-  int memory_pool_cores = 1;
-
   /// Clock-speed ratio of memory-pool cores vs compute-pool cores.
   double memory_pool_clock_ratio = 1.0;
 

@@ -103,10 +103,6 @@ class MrRunner {
     MrPhaseProfile& prof = profiles_[static_cast<size_t>(phase)];
     const Nanos t0 = ctx_.now();
     const uint64_t rm0 = ctx_.metrics().RemoteMemoryBytes();
-    const uint64_t rt0 = ctx_.metrics().retries;
-    const uint64_t fb0 = ctx_.metrics().fallbacks;
-    const uint64_t rc0 = ctx_.metrics().recovered_pool_writes;
-    const uint64_t fe0 = ctx_.metrics().fenced_rpcs;
     if (opts_.ShouldPush(phase)) {
       const Status st = opts_.runtime->Call(
           ctx_,
@@ -122,10 +118,6 @@ class MrRunner {
     }
     prof.time_ns += ctx_.now() - t0;
     prof.remote_bytes += ctx_.metrics().RemoteMemoryBytes() - rm0;
-    prof.retries += ctx_.metrics().retries - rt0;
-    prof.fallbacks += ctx_.metrics().fallbacks - fb0;
-    prof.recovered += ctx_.metrics().recovered_pool_writes - rc0;
-    prof.fenced += ctx_.metrics().fenced_rpcs - fe0;
     ++prof.invocations;
   }
 

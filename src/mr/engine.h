@@ -26,10 +26,6 @@ struct MrPhaseProfile {
   uint64_t remote_bytes = 0;
   uint64_t invocations = 0;
   bool pushed = false;
-  uint64_t retries = 0;    ///< RPC attempts repeated after injected drops
-  uint64_t fallbacks = 0;  ///< pushdowns re-run locally (§3.2 escape hatch)
-  uint64_t recovered = 0;  ///< journaled writes replayed by pool recoveries
-  uint64_t fenced = 0;     ///< stale-epoch admissions re-tried (PR6 fencing)
 };
 
 struct MrOptions {

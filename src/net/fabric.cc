@@ -300,23 +300,21 @@ Nanos Fabric::RoundTripFromMemory(Link link, Nanos now, uint64_t req_bytes,
                          resp_bytes, resp_kind);
 }
 
-RpcOutcome Fabric::TryRoundTripFromCompute(Link link, Nanos now,
-                                           uint64_t req_bytes,
-                                           uint64_t resp_bytes,
-                                           Nanos handler_ns,
-                                           MessageKind req_kind,
-                                           MessageKind resp_kind) {
+SendOutcome Fabric::TryRoundTripFromCompute(Link link, Nanos now,
+                                            uint64_t req_bytes,
+                                            uint64_t resp_bytes,
+                                            Nanos handler_ns,
+                                            MessageKind req_kind,
+                                            MessageKind resp_kind) {
   const SendOutcome req = TryDeliver(C2m(link), /*to_memory=*/true, link,
                                      now, req_bytes, req_kind);
-  if (!req.delivered) return RpcOutcome{false, 0};
+  if (!req.delivered) return req;
   const Nanos handler = SmartNicOffloaded(req_kind, req_bytes)
                             ? params_.smartnic_handler_ns
                             : handler_ns;
   const Nanos reply_sent = req.deliver_at + handler;
-  const SendOutcome resp = TryDeliver(M2c(link), /*to_memory=*/false, link,
-                                      reply_sent, resp_bytes, resp_kind);
-  if (!resp.delivered) return RpcOutcome{false, 0};
-  return RpcOutcome{true, resp.deliver_at};
+  return TryDeliver(M2c(link), /*to_memory=*/false, link, reply_sent,
+                    resp_bytes, resp_kind);
 }
 
 Nanos Fabric::SendGatherToMemory(Link link, Nanos now,

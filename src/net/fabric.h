@@ -92,12 +92,6 @@ struct SendOutcome {
   int copies = 1;
 };
 
-/// Result of a fault-aware round trip (TryRoundTripFromCompute).
-struct RpcOutcome {
-  bool ok = true;
-  Nanos done = 0;  ///< completion time at the caller when ok
-};
-
 /// One direction of one simulated RDMA link. Reliable and FIFO: delivery
 /// times are monotone in send order, which §4.1's concurrent-fault argument
 /// depends on ("enforced using reliable RDMA connections").
@@ -245,8 +239,9 @@ class Fabric {
 
   /// Fault-visible sends: a drop (probabilistic, or a scheduled outage of
   /// the link's memory node covering `now`) is surfaced to the caller, who
-  /// is expected to apply a RetryPolicy. Without an injector these behave
-  /// exactly like Send*.
+  /// retries through tp::Retry. Without an injector these are exactly the
+  /// reliable Send*: same delivery time, trace event and counters, so a
+  /// fault-free caller needs no separate path.
   SendOutcome TrySendToMemory(Link link, Nanos now, uint64_t bytes,
                               MessageKind kind) {
     return TryDeliver(C2m(link), /*to_memory=*/true, link, now, bytes, kind);
@@ -277,18 +272,13 @@ class Fabric {
 
   /// Fault-visible round trip from the compute side: fails when either the
   /// request or the reply is dropped (the caller cannot distinguish the two
-  /// — it just never hears back before its retransmission timeout).
-  RpcOutcome TryRoundTripFromCompute(Link link, Nanos now, uint64_t req_bytes,
-                                     uint64_t resp_bytes, Nanos handler_ns,
-                                     MessageKind req_kind,
-                                     MessageKind resp_kind);
-  RpcOutcome TryRoundTripFromCompute(Nanos now, uint64_t req_bytes,
-                                     uint64_t resp_bytes, Nanos handler_ns,
-                                     MessageKind req_kind,
-                                     MessageKind resp_kind) {
-    return TryRoundTripFromCompute(Link{}, now, req_bytes, resp_bytes,
-                                   handler_ns, req_kind, resp_kind);
-  }
+  /// — it just never hears back before its retransmission timeout). On
+  /// success the outcome is the reply's: `deliver_at` is the completion
+  /// time at the caller. Without an injector this is RoundTripFromCompute.
+  SendOutcome TryRoundTripFromCompute(Link link, Nanos now, uint64_t req_bytes,
+                                      uint64_t resp_bytes, Nanos handler_ns,
+                                      MessageKind req_kind,
+                                      MessageKind resp_kind);
 
   const sim::CostParams& params() const { return params_; }
 

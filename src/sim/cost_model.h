@@ -76,9 +76,6 @@ struct CostParams {
   /// Cost of one "simple operation" (compare, add, hash step) on a
   /// compute-pool core at full clock (2.1 GHz).
   double cpu_ns_per_op = 0.48;
-  /// Clock-speed ratio of memory-pool cores relative to compute-pool cores
-  /// (§7.3 throttling experiment). 1.0 = same clock.
-  double memory_pool_clock_ratio = 1.0;
   /// Context-switch penalty in the memory pool when more user contexts are
   /// runnable than physical cores (§7.3, Fig 17).
   Nanos context_switch_ns = 3'000;

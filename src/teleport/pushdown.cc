@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/rle.h"
 #include "sim/tracer.h"
+#include "teleport/retry.h"
 
 namespace teleport::tp {
 
@@ -100,79 +101,48 @@ PushdownRuntime::PushdownRuntime(ddc::MemorySystem* ms, int num_instances)
 Status PushdownRuntime::CheckHeartbeat(ddc::ExecutionContext& ctx,
                                        int shard) {
   const auto& params = ms_->params();
+  net::Fabric& fabric = ms_->fabric();
   const net::Link link{static_cast<int>(ctx.node()), shard};
   ms_->ApplyPoolRestarts(ctx);
-  if (panicked_ || ms_->fabric().HardDownAt(ctx.now(), shard)) {
+  if (panicked_ || fabric.HardDownAt(ctx.now(), shard)) {
     // The real system triggers a kernel panic: main memory is lost (§3.2).
     panicked_ = true;
     ctx.AdvanceTime(params.net_latency_ns * 2);
     return RecoveryStatus(RecoveryFault::kUnreachable);
   }
-  if (ms_->fabric().fault_injector() == nullptr) {
-    const Nanos probe_start = ctx.now();
-    // Congestion-aware liveness deadline: queue residency on the probe's
-    // own link at send time is excused — a saturated-but-healthy shard
-    // answers slowly because the fabric is busy, not because the pool is
-    // dead. Only delay beyond deadline + observable backlog panics (§3.2).
-    // (The deadline used to be implicit-infinite here and a fixed constant
-    // in the design notes; a fixed constant fences saturated shards.)
-    const Nanos allowed = params.heartbeat_deadline_ns +
-                          ms_->fabric().QueueBacklogNs(link, probe_start);
-    const Nanos done = ms_->fabric().RoundTripFromCompute(
-        link, probe_start, 64, 64, params.fault_handler_ns,
-        net::MessageKind::kHeartbeat, net::MessageKind::kHeartbeat);
-    ctx.clock().AdvanceTo(done);
-    ms_->fabric().DrainQueueStats(ctx.metrics());
+  // Dropped probes are retried with backoff, and a transient outage (link
+  // flap / restartable memory node) is waited out instead of latched as a
+  // panic. Only a pool that will never answer again is §3.2's
+  // lost-main-memory case.
+  //
+  // Congestion-aware liveness deadline: the winning probe's own round trip
+  // is judged, so retransmission backoff and outage waits never count
+  // against it, and the queue residency on its link just before it is sent
+  // is excused — a saturated-but-healthy shard answers slowly because the
+  // fabric is busy, not because the pool is dead. Only delay beyond
+  // deadline + observable backlog panics.
+  Nanos allowed = 0;
+  const RetryResult probe = Retry(
+      fabric, shard, RetryPolicy{}, retry_rng_, ctx.now(), /*rounds=*/16,
+      [&](Nanos t) {
+        allowed = params.heartbeat_deadline_ns + fabric.QueueBacklogNs(link, t);
+        return fabric.TryRoundTripFromCompute(
+            link, t, 64, 64, params.fault_handler_ns,
+            net::MessageKind::kHeartbeat, net::MessageKind::kHeartbeat);
+      },
+      [](Nanos) {});
+  CountRetries(ctx, probe.retries);
+  ctx.clock().AdvanceTo(probe.delivered ? probe.outcome.deliver_at
+                                        : probe.at);
+  fabric.DrainQueueStats(ctx.metrics());
+  if (probe.delivered) {
     ctx.metrics().net_messages += 2;
     ctx.metrics().net_bytes += 128;
-    if (done - probe_start > allowed) {
-      panicked_ = true;
-      return RecoveryStatus(RecoveryFault::kUnreachable);
-    }
-    return Status::OK();
   }
-  // Resilient probe: dropped heartbeats are retried with backoff, and a
-  // transient outage (link flap / restartable memory node) is waited out
-  // instead of latched as a panic. Only a pool that will never answer again
-  // is §3.2's lost-main-memory case.
-  Nanos t = ctx.now();
-  RetryStats stats;
-  bool ok = false;
-  Nanos probe_rtt = 0;
-  Nanos probe_allowed = 0;
-  for (int round = 0; round < 16 && !ok; ++round) {
-    const RetryOutcome out = RetryRoundTripFromCompute(
-        ms_->fabric(), retry_, retry_rng_, t, 64, 64, params.fault_handler_ns,
-        net::MessageKind::kHeartbeat, net::MessageKind::kHeartbeat, &stats,
-        link);
-    if (out.ok) {
-      // On success gave_up_at is the winning attempt's send time, so the
-      // deadline judges one probe's round trip — retransmission backoff and
-      // outage waits never count against it. Queue backlog at that instant
-      // is excused (congestion is not death; see the no-injector path).
-      probe_rtt = out.done - out.gave_up_at;
-      probe_allowed = params.heartbeat_deadline_ns +
-                      ms_->fabric().QueueBacklogNs(link, out.gave_up_at);
-      t = out.done;
-      ok = true;
-      break;
-    }
-    t = out.gave_up_at;
-    const Nanos heal = ms_->fabric().NextReachableAt(t, shard);
-    if (heal == net::Fabric::kNeverHeals) break;
-    if (heal > t) t = heal;
-  }
-  retry_events_ += stats.retries;
-  ctx.metrics().retries += stats.retries;
-  ctx.metrics().fault_events += stats.retries;
-  ctx.clock().AdvanceTo(t);
-  ms_->fabric().DrainQueueStats(ctx.metrics());
-  if (!ok || probe_rtt > probe_allowed) {
+  if (!probe.delivered || probe.outcome.deliver_at - probe.at > allowed) {
     panicked_ = true;
     return RecoveryStatus(RecoveryFault::kUnreachable);
   }
-  ctx.metrics().net_messages += 2;
-  ctx.metrics().net_bytes += 128;
   ms_->ApplyPoolRestarts(ctx);
   return Status::OK();
 }
@@ -251,66 +221,47 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   }
   bd.pre_sync_ns = caller.now() - t0;
 
-  // (2) Request transfer over the fabric (single RDMA message, §6). Under a
-  // fault injector the send is fault-visible: a dropped request costs one
-  // RTO plus backoff before the retransmit (§3.2).
+  // (2) Request transfer over the fabric (single RDMA message, §6). The
+  // send is fault-visible: a dropped request costs one RTO plus backoff
+  // before the retransmit (§3.2).
   const Nanos send_time = caller.now();
   if (sim::Tracer* tracer = ms_->tracer()) {
     tracer->Instant("pushdown", "Dispatch", send_time, sim::kTrackCompute);
   }
-  Nanos arrive = 0;
-  Nanos request_retry_wait = 0;
-  int req_copies = 1;  ///< delivered request copies presenting the token
-  if (ms_->fabric().fault_injector() == nullptr) {
-    arrive = ms_->fabric().SendToMemory(link, send_time, req_bytes,
+  const RetryResult req = Retry(
+      ms_->fabric(), home, RetryPolicy{}, retry_rng_, send_time,
+      /*rounds=*/1,
+      [&](Nanos t) {
+        return ms_->fabric().TrySendToMemory(
+            link, t, req_bytes, net::MessageKind::kPushdownRequest);
+      },
+      [&](Nanos t) {
+        if (sim::Tracer* tracer = ms_->tracer()) {
+          tracer->Instant("pushdown", "RetryRequest", t, sim::kTrackCompute);
+        }
+      });
+  CountRetries(caller, req.retries);
+  bd.retry_ns += req.waited;
+  Nanos arrive = req.outcome.deliver_at;
+  int req_copies = req.outcome.copies;  ///< copies presenting the token
+  if (!req.delivered) {
+    if (flags.fallback == FallbackPolicy::kLocal &&
+        ms_->fabric().NextReachableAt(req.at, home) !=
+            net::Fabric::kNeverHeals) {
+      // Restartable pool but the retry budget is spent: §3.2 escape
+      // hatch — run the function locally instead of failing the call.
+      caller.clock().AdvanceTo(req.at);
+      return RunLocalFallback(caller, fn, arg, bd, t0,
+                              /*cancel_sent=*/false, link, flags.kernel);
+    }
+    // No fallback requested: hand the request to the reliable transport,
+    // which retransmits below the RPC layer and cannot lose it.
+    arrive = ms_->fabric().SendToMemory(link, req.at, req_bytes,
                                         net::MessageKind::kPushdownRequest);
-  } else {
-    Nanos t = send_time;
-    bool delivered = false;
-    for (int a = 0; a < std::max(1, retry_.max_attempts); ++a) {
-      const net::SendOutcome out = ms_->fabric().TrySendToMemory(
-          link, t, req_bytes, net::MessageKind::kPushdownRequest);
-      if (out.delivered) {
-        arrive = out.deliver_at;
-        req_copies = out.copies;
-        delivered = true;
-        break;
-      }
-      Nanos wait = retry_.rto_ns + retry_.BackoffFor(a, retry_rng_);
-      t += wait;
-      const Nanos heal = ms_->fabric().NextReachableAt(t, home);
-      if (heal > t) {
-        wait += heal - t;
-        t = heal;
-      }
-      request_retry_wait += wait;
-      ++retry_events_;
-      ++caller.metrics().retries;
-      ++caller.metrics().fault_events;
-      if (sim::Tracer* tracer = ms_->tracer()) {
-        tracer->Instant("pushdown", "RetryRequest", t, sim::kTrackCompute);
-      }
-    }
-    if (!delivered) {
-      bd.retry_ns += request_retry_wait;
-      if (flags.fallback == FallbackPolicy::kLocal &&
-          ms_->fabric().NextReachableAt(t, home) != net::Fabric::kNeverHeals) {
-        // Restartable pool but the retry budget is spent: §3.2 escape
-        // hatch — run the function locally instead of failing the call.
-        caller.clock().AdvanceTo(t);
-        return RunLocalFallback(caller, fn, arg, bd, t0,
-                                /*cancel_sent=*/false, link, flags.kernel);
-      }
-      // No fallback requested: hand the request to the reliable transport,
-      // which retransmits below the RPC layer and cannot lose it.
-      arrive = ms_->fabric().SendToMemory(
-          link, t, req_bytes, net::MessageKind::kPushdownRequest);
-      request_retry_wait = 0;  // already folded into bd.retry_ns
-    }
+    req_copies = 1;
   }
   caller.metrics().net_messages += 1;
   caller.metrics().net_bytes += req_bytes;
-  bd.retry_ns += request_retry_wait;
   bd.request_transfer_ns = arrive - send_time - bd.retry_ns;
 
   // Queue for a free memory-pool instance of the HOME shard (FIFO
@@ -485,50 +436,33 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   const Nanos resp_sent = mem_ctx->now() + params.context_fixed_ns / 4;
   if (!nic_side) *slot = resp_sent;  // NIC-side probes held no host instance
   const uint64_t resp_bytes = 128 + flags.result_bytes;
-  Nanos resp_arrive = 0;
-  Nanos resp_retry_wait = 0;
-  if (ms_->fabric().fault_injector() == nullptr) {
-    resp_arrive = ms_->fabric().SendToCompute(
-        link, resp_sent, resp_bytes, net::MessageKind::kPushdownResponse);
-  } else {
-    Nanos t = resp_sent;
-    bool delivered = false;
-    for (int a = 0; a < std::max(1, retry_.max_attempts); ++a) {
-      const net::SendOutcome out = ms_->fabric().TrySendToCompute(
-          link, t, resp_bytes, net::MessageKind::kPushdownResponse);
-      if (out.delivered) {
-        resp_arrive = out.deliver_at;
-        delivered = true;
-        break;
-      }
-      Nanos wait = retry_.rto_ns + retry_.BackoffFor(a, retry_rng_);
-      t += wait;
-      const Nanos heal = ms_->fabric().NextReachableAt(t, home);
-      if (heal > t) {
-        wait += heal - t;
-        t = heal;
-      }
-      resp_retry_wait += wait;
-      ++retry_events_;
-      ++caller.metrics().retries;
-      ++caller.metrics().fault_events;
-      if (sim::Tracer* tracer = ms_->tracer()) {
-        tracer->Instant("pushdown", "RetryResponse", t, sim::kTrackMemoryPool);
-      }
-    }
-    if (!delivered) {
-      resp_arrive = ms_->fabric().SendToCompute(
-          link, t, resp_bytes, net::MessageKind::kPushdownResponse);
-    }
-  }
+  const RetryResult resp = Retry(
+      ms_->fabric(), home, RetryPolicy{}, retry_rng_, resp_sent,
+      /*rounds=*/1,
+      [&](Nanos t) {
+        return ms_->fabric().TrySendToCompute(
+            link, t, resp_bytes, net::MessageKind::kPushdownResponse);
+      },
+      [&](Nanos t) {
+        if (sim::Tracer* tracer = ms_->tracer()) {
+          tracer->Instant("pushdown", "RetryResponse", t,
+                          sim::kTrackMemoryPool);
+        }
+      });
+  CountRetries(caller, resp.retries);
+  const Nanos resp_arrive =
+      resp.delivered ? resp.outcome.deliver_at
+                     : ms_->fabric().SendToCompute(
+                           link, resp.at, resp_bytes,
+                           net::MessageKind::kPushdownResponse);
   caller.metrics().net_messages += 1;
   caller.metrics().net_bytes += resp_bytes;
   caller.clock().AdvanceTo(resp_arrive);
   ms_->fabric().DrainQueueStats(caller.metrics());
   // Includes the instance-recycle interval so the per-call breakdown sums
   // exactly to the caller's observed elapsed time.
-  bd.retry_ns += resp_retry_wait;
-  bd.response_transfer_ns = resp_arrive - mem_ctx->now() - resp_retry_wait;
+  bd.retry_ns += resp.waited;
+  bd.response_transfer_ns = resp_arrive - mem_ctx->now() - resp.waited;
 
   // (6) Post-pushdown synchronization.
   const Nanos post0 = caller.now();
@@ -540,16 +474,7 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   // off) counts as post-pushdown synchronization.
   bd.post_sync_ns = (caller.now() - post0) + merge_ns;
 
-  TraceCall(bd, t0, /*fallback=*/false, flags.kernel);
-  last_breakdown_ = bd;
-  total_breakdown_.Add(bd);
-  call_latency_.Add(bd.Total());
-  online_sync_latency_.Add(bd.online_sync_ns);
-  ++completed_calls_;
-  if (flags.kernel >= 0 &&
-      static_cast<size_t>(flags.kernel) < kernel_calls_.size()) {
-    ++kernel_calls_[static_cast<size_t>(flags.kernel)];
-  }
+  FinishCall(bd, t0, /*fallback=*/false, flags.kernel);
   return st;
 }
 
@@ -586,7 +511,20 @@ Status PushdownRuntime::RunLocalFallback(ddc::ExecutionContext& caller,
   ++fallback_calls_;
   caller.metrics().fallbacks += 1;
   caller.metrics().pushdown_calls += 1;
-  TraceCall(bd, t0, /*fallback=*/true, kernel);
+  FinishCall(bd, t0, /*fallback=*/true, kernel);
+  return st;
+}
+
+void PushdownRuntime::CountRetries(ddc::ExecutionContext& ctx, uint64_t n) {
+  retry_events_ += n;
+  ctx.metrics().retries += n;
+  ctx.metrics().fault_events += n;
+}
+
+void PushdownRuntime::FinishCall(const PushdownBreakdown& bd, Nanos t0,
+                                 bool fallback, int kernel) {
+  // TraceCall reads completed_calls_ as this call's id: bump it after.
+  TraceCall(bd, t0, fallback, kernel);
   last_breakdown_ = bd;
   total_breakdown_.Add(bd);
   call_latency_.Add(bd.Total());
@@ -595,7 +533,6 @@ Status PushdownRuntime::RunLocalFallback(ddc::ExecutionContext& caller,
   if (kernel >= 0 && static_cast<size_t>(kernel) < kernel_calls_.size()) {
     ++kernel_calls_[static_cast<size_t>(kernel)];
   }
-  return st;
 }
 
 int PushdownRuntime::RegisterKernel(const std::string& name) {

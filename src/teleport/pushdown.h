@@ -12,7 +12,6 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "ddc/memory_system.h"
-#include "teleport/retry.h"
 
 namespace teleport::tp {
 
@@ -226,12 +225,8 @@ class PushdownRuntime {
                : 0;
   }
 
-  /// Retry/backoff policy applied to pushdown requests, responses, and
-  /// heartbeats when a fault injector is attached to the fabric; inert
-  /// otherwise.
-  void set_retry_policy(const RetryPolicy& p) { retry_ = p; }
-  const RetryPolicy& retry_policy() const { return retry_; }
-  /// Reseeds the deterministic jitter stream for retry backoff.
+  /// Reseeds the deterministic jitter stream for the backoff of pushdown
+  /// requests, responses, and heartbeats.
   void set_retry_seed(uint64_t seed) { retry_rng_ = Rng(seed); }
 
   /// RPC attempts this runtime repeated after a drop.
@@ -261,6 +256,16 @@ class PushdownRuntime {
                           void* arg, PushdownBreakdown& bd, Nanos t0,
                           bool cancel_sent, net::Link link, int kernel);
 
+  /// Adds `n` lost attempts of a retried RPC to retry_events() and the
+  /// caller's retries/fault_events metrics.
+  void CountRetries(ddc::ExecutionContext& ctx, uint64_t n);
+
+  /// Books a finished call (pushed or locally fallen back): traces it,
+  /// records its breakdown and latency, and counts it, overall and per
+  /// kernel.
+  void FinishCall(const PushdownBreakdown& bd, Nanos t0, bool fallback,
+                  int kernel);
+
   /// Emits the per-call trace spans once a breakdown is final: one
   /// enclosing "call" span plus a child span per non-zero component, laid
   /// out consecutively from t0 and tagged with the call id (and the kernel
@@ -277,7 +282,6 @@ class PushdownRuntime {
   /// degenerates to the single global workqueue.
   std::vector<std::vector<Nanos>> instance_free_;
   Nanos kill_timeout_ns_ = 600 * kSecond;
-  RetryPolicy retry_;
   Rng retry_rng_{0x7e1e905u};
   uint64_t retry_events_ = 0;
   uint64_t fallback_calls_ = 0;

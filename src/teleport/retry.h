@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -11,17 +10,17 @@
 
 namespace teleport::tp {
 
-/// Capped exponential backoff with deterministic jitter, applied to the
-/// RPCs the paper's runtime retries after silence: pushdown requests,
-/// heartbeats, and page-fault RPCs (§3.2 failure handling). All waiting is
-/// accounted on the caller's virtual clock; jitter comes from a seeded
-/// common/rng stream so runs are reproducible bit-for-bit.
+/// Capped exponential backoff with deterministic jitter: the timing of
+/// `Retry`, the one loop through which the runtime retries RPCs that went
+/// silent — page faults, heartbeats and pushdown requests/responses (§3.2
+/// failure handling). All waiting is accounted on the caller's virtual
+/// clock; jitter comes from a seeded common/rng stream so runs are
+/// reproducible bit-for-bit.
 ///
-/// The core is header-inline because the ddc layer (page-fault path) uses
-/// it without linking against teleport_core.
+/// Header-only because the ddc layer (page-fault path) retries without
+/// linking against teleport_core.
 struct RetryPolicy {
-  /// Total send attempts before the caller gives up (>= 1). Exhaustion
-  /// surfaces Unavailable — or the §3.2 local fallback when enabled.
+  /// Send attempts per retry round (>= 1).
   int max_attempts = 5;
   /// Retransmission timeout: how long the caller waits in silence before
   /// declaring an attempt lost.
@@ -48,65 +47,59 @@ struct RetryPolicy {
     }
     return std::max<Nanos>(0, static_cast<Nanos>(b));
   }
-
-  std::string ToString() const;
 };
 
-/// Accumulated retry accounting for one logical RPC (or a whole run).
-struct RetryStats {
-  uint64_t attempts = 0;  ///< total send attempts, including the first
-  uint64_t retries = 0;   ///< attempts repeated after a drop
-  Nanos backoff_ns = 0;   ///< virtual time spent waiting (RTO + backoff)
-
-  void Add(const RetryStats& o) {
-    attempts += o.attempts;
-    retries += o.retries;
-    backoff_ns += o.backoff_ns;
-  }
-
-  std::string ToString() const;
+/// Outcome of one retried RPC.
+struct RetryResult {
+  bool delivered = false;    ///< some attempt got through
+  net::SendOutcome outcome;  ///< the winning attempt's outcome
+  /// Send time of the winning attempt, or where the caller's clock stands
+  /// after the last lost one (the give-up time).
+  Nanos at = 0;
+  uint64_t retries = 0;  ///< lost attempts
+  Nanos waited = 0;      ///< RTO + backoff + outage waits, at - now
 };
 
-/// Outcome of a retried RPC: on success `done` is the completion time; on
-/// exhaustion `gave_up_at` is where the caller's clock stands after burning
-/// every attempt (so the caller can continue from there).
-struct RetryOutcome {
-  bool ok = false;
-  Nanos done = 0;
-  Nanos gave_up_at = 0;
-};
-
-/// Runs a compute-side round trip under `policy`: each dropped attempt costs
-/// one RTO plus jittered backoff of virtual time, then the request is
-/// retransmitted. If the link is down with a known heal time the retry also
-/// waits the outage out (the heartbeat thread tells the kernel when the pool
-/// answers again, §3.2). Without a fault injector the first attempt always
-/// succeeds with timing identical to Fabric::RoundTripFromCompute.
-inline RetryOutcome RetryRoundTripFromCompute(
-    net::Fabric& fabric, const RetryPolicy& policy, Rng& rng, Nanos now,
-    uint64_t req_bytes, uint64_t resp_bytes, Nanos handler_ns,
-    net::MessageKind req_kind, net::MessageKind resp_kind,
-    RetryStats* stats = nullptr, net::Link link = net::Link{}) {
-  Nanos t = now;
+/// Runs `attempt(t)` — one fault-visible `Try*` call sent at `t` that
+/// returns a net::SendOutcome — until a send gets through. Each lost
+/// attempt costs `rto_ns` plus jittered backoff, then waits out any known
+/// outage of memory shard `shard` (the heartbeat thread tells the kernel
+/// when the pool answers again, §3.2), then calls `on_retry(t)` with the
+/// new send time. A round is `policy.max_attempts` attempts, with backoff
+/// restarting each round; the loop gives up after `rounds` rounds, or after
+/// the current round once `shard` will never heal. The caller decides what
+/// giving up means: the reliable transport, a local re-run, or a panic.
+///
+/// Without a fault injector a `Try*` send always gets through with the
+/// timing of its reliable twin, so a fault-free run takes the first attempt
+/// and draws nothing from `rng`.
+template <typename Attempt, typename OnRetry>
+RetryResult Retry(const net::Fabric& fabric, int shard,
+                  const RetryPolicy& policy, Rng& rng, Nanos now, int rounds,
+                  Attempt&& attempt, OnRetry&& on_retry) {
+  RetryResult r;
+  r.at = now;
   const int attempts = std::max(1, policy.max_attempts);
-  for (int a = 0; a < attempts; ++a) {
-    if (stats != nullptr) ++stats->attempts;
-    const net::RpcOutcome rpc = fabric.TryRoundTripFromCompute(
-        link, t, req_bytes, resp_bytes, handler_ns, req_kind, resp_kind);
-    if (rpc.ok) return RetryOutcome{true, rpc.done, t};
-    Nanos wait = policy.rto_ns + policy.BackoffFor(a, rng);
-    t += wait;
-    const Nanos heal = fabric.NextReachableAt(t, link.dst);
-    if (heal > t) {
-      wait += heal - t;
-      t = heal;
+  for (int round = 0; round < rounds; ++round) {
+    for (int a = 0; a < attempts; ++a) {
+      r.outcome = attempt(r.at);
+      if (r.outcome.delivered) {
+        r.delivered = true;
+        return r;
+      }
+      Nanos t = r.at + policy.rto_ns + policy.BackoffFor(a, rng);
+      const Nanos heal = fabric.NextReachableAt(t, shard);
+      if (heal > t) t = heal;
+      r.waited += t - r.at;
+      r.at = t;
+      ++r.retries;
+      on_retry(r.at);
     }
-    if (stats != nullptr) {
-      ++stats->retries;
-      stats->backoff_ns += wait;
+    if (fabric.NextReachableAt(r.at, shard) == net::Fabric::kNeverHeals) {
+      break;
     }
   }
-  return RetryOutcome{false, 0, t};
+  return r;
 }
 
 }  // namespace teleport::tp

@@ -61,10 +61,9 @@ TEST(HeartbeatCongestionTest, SaturatedButHealthyShardIsNeverFenced) {
 }
 
 TEST(HeartbeatCongestionTest, SaturationExcuseSurvivesTheRetryPath) {
-  // Same scenario with a (fault-free) injector attached, which routes the
-  // probe through the retransmission machinery: the deadline must judge the
-  // winning attempt's RTT against backlog at ITS send time, not wall time
-  // since the first attempt.
+  // Same scenario with a (fault-free) injector attached: the deadline must
+  // still judge the winning attempt's RTT against the backlog at ITS send
+  // time, not wall time since the first attempt.
   MemorySystem ms(Config(), sim::CostParams::Default(), 32 << 20);
   ms.fabric().set_backend(net::Backend::kQueuedRdma);
   net::FaultInjector inj(/*seed=*/5);
@@ -89,18 +88,42 @@ TEST(HeartbeatCongestionTest, IdleProbeSitsWellInsideTheDeadline) {
 TEST(HeartbeatCongestionTest, DeadlineStillFencesWhenNoBacklogExplainsIt) {
   // Shrink the deadline below one idle RTT: with zero backlog to excuse the
   // delay, the probe must panic — the congestion allowance never turns the
-  // deadline off.
+  // deadline off. A fault-free injector must change nothing: the backlog is
+  // read before the probe is queued (its own residency is never excused)
+  // and a late probe's two messages are counted, so status, clock and
+  // message count equal the injector-free run on every backend.
   sim::CostParams p = sim::CostParams::Default();
   p.heartbeat_deadline_ns = 1;
+  struct Probe {
+    Status status;
+    Nanos now = 0;
+    uint64_t net_messages = 0;
+  };
   for (const net::Backend backend :
-       {net::Backend::kIdeal, net::Backend::kQueuedRdma}) {
-    MemorySystem ms(Config(), p, 32 << 20);
-    ms.fabric().set_backend(backend);
-    PushdownRuntime runtime(&ms);
-    auto caller = ms.CreateContext(Pool::kCompute);
-    EXPECT_TRUE(runtime.CheckHeartbeat(*caller).IsUnavailable())
+       {net::Backend::kIdeal, net::Backend::kQueuedRdma,
+        net::Backend::kSmartNic}) {
+    const auto probe = [&](bool attach_injector) {
+      net::FaultInjector inj(/*seed=*/5);
+      MemorySystem ms(Config(), p, 32 << 20);
+      ms.fabric().set_backend(backend);
+      if (attach_injector) ms.fabric().set_fault_injector(&inj);
+      PushdownRuntime runtime(&ms);
+      auto caller = ms.CreateContext(Pool::kCompute);
+      Probe out;
+      out.status = runtime.CheckHeartbeat(*caller);
+      EXPECT_TRUE(runtime.panicked()) << net::BackendToString(backend);
+      out.now = caller->now();
+      out.net_messages = caller->metrics().net_messages;
+      return out;
+    };
+    const Probe plain = probe(/*attach_injector=*/false);
+    const Probe injected = probe(/*attach_injector=*/true);
+    EXPECT_TRUE(plain.status.IsUnavailable()) << net::BackendToString(backend);
+    EXPECT_EQ(plain.net_messages, 2u) << net::BackendToString(backend);
+    EXPECT_EQ(injected.status, plain.status) << net::BackendToString(backend);
+    EXPECT_EQ(injected.now, plain.now) << net::BackendToString(backend);
+    EXPECT_EQ(injected.net_messages, plain.net_messages)
         << net::BackendToString(backend);
-    EXPECT_TRUE(runtime.panicked()) << net::BackendToString(backend);
   }
 }
 
