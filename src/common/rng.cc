@@ -2,16 +2,15 @@
 
 namespace teleport {
 
-ZipfGenerator::ZipfGenerator(uint64_t n, double theta)
-    : n_(n), theta_(theta) {
+ZipfGenerator::ZipfGenerator(uint64_t n, double theta) : n_(n) {
   TELEPORT_CHECK(n > 0);
   TELEPORT_CHECK(theta > 0 && theta < 1.0)
       << "theta must be in (0,1); got " << theta;
   zetan_ = Zeta(n, theta);
-  const double zeta2 = Zeta(2, theta);
+  zeta2_ = Zeta(2, theta);
   alpha_ = 1.0 / (1.0 - theta);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-         (1.0 - zeta2 / zetan_);
+         (1.0 - zeta2_ / zetan_);
 }
 
 double ZipfGenerator::Zeta(uint64_t n, double theta) {
@@ -22,11 +21,10 @@ double ZipfGenerator::Zeta(uint64_t n, double theta) {
   return sum;
 }
 
-uint64_t ZipfGenerator::Sample(Rng& rng) {
-  const double u = rng.NextDouble();
+uint64_t ZipfGenerator::Sample(double u) const {
   const double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < zeta2_) return 1;
   const uint64_t v = static_cast<uint64_t>(
       static_cast<double>(n_) *
       std::pow(eta_ * u - eta_ + 1.0, alpha_));

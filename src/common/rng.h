@@ -72,18 +72,22 @@ class Rng {
   uint64_t s_[4];
 };
 
-/// Samples from a Zipf(n, theta) distribution over [0, n). Used by the
-/// MapReduce text generator (word frequencies) and graph degree skew.
+/// Samples from a Zipf(n, theta) distribution over [0, n), rank 0 the most
+/// popular. Used by the MapReduce text generator (word frequencies) and the
+/// YCSB workload (key popularity).
 ///
 /// Precomputes the harmonic normalization once; Sample() is O(1) via the
 /// rejection-inversion-free approximation of Gray et al. (the standard YCSB
-/// generator).
+/// generator). theta must lie in (0, 1): at 1 the quantile transform's
+/// exponent is infinite and the skew inverts.
 class ZipfGenerator {
  public:
   ZipfGenerator(uint64_t n, double theta);
 
-  /// Returns a value in [0, n), skewed toward small values.
-  uint64_t Sample(Rng& rng);
+  /// Maps a uniform u in [0, 1) to a value in [0, n), skewed toward small
+  /// values.
+  uint64_t Sample(double u) const;
+  uint64_t Sample(Rng& rng) const { return Sample(rng.NextDouble()); }
 
   uint64_t n() const { return n_; }
 
@@ -91,9 +95,10 @@ class ZipfGenerator {
   static double Zeta(uint64_t n, double theta);
 
   uint64_t n_;
-  double theta_;
   double alpha_;
   double zetan_;
+  /// Zeta(2, theta): the rank-1 threshold of u * zetan_.
+  double zeta2_;
   double eta_;
 };
 

@@ -30,8 +30,9 @@ struct Region {
 class AddressSpace {
  public:
   /// Creates a space able to hold up to `capacity_bytes` of allocations.
-  /// Backing host memory is reserved lazily page by page as regions are
-  /// allocated, and zero-initialized.
+  /// Host memory for the whole capacity is reserved here, so host pointers
+  /// stay valid for the life of the space; Alloc() zero-fills each region,
+  /// which is when its host pages become resident.
   explicit AddressSpace(uint64_t capacity_bytes, uint64_t page_size);
 
   AddressSpace(const AddressSpace&) = delete;

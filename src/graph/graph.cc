@@ -17,16 +17,23 @@ Graph GenerateGraph(ddc::MemorySystem* ms, const GraphConfig& config) {
   const uint64_t deg = config.avg_degree;
   TELEPORT_CHECK(v_count >= 2 && deg >= 1);
 
-  // Host-side adjacency build (untimed; this is data generation).
+  // Host-side edge list (untimed; this is data generation).
   // Preferential attachment: vertex v links to `deg` targets, each either a
   // uniformly random earlier vertex or the endpoint of a random existing
   // edge (which biases toward high-degree vertices). One guaranteed edge
   // v-1 -> v keeps the graph connected from vertex 0.
-  std::vector<std::vector<std::pair<int64_t, int64_t>>> adj(v_count);
+  //
+  // Edges are kept in draw order in flat presized arrays, never in one
+  // container per vertex: tens of thousands of freed small blocks would
+  // raise the heap's high-water mark for every later dataset in the
+  // process.
+  const uint64_t edges = (v_count - 1) * deg;
+  std::vector<int64_t> sources(edges);
+  std::vector<int64_t> weights(edges);
+  // endpoint_pool[e + 1] is edge e's target.
   std::vector<int64_t> endpoint_pool;
-  endpoint_pool.reserve(v_count * deg);
+  endpoint_pool.reserve(edges + 1);
   endpoint_pool.push_back(0);
-  uint64_t edges = 0;
   for (uint64_t v = 1; v < v_count; ++v) {
     for (uint64_t d = 0; d < deg; ++d) {
       int64_t from, to;
@@ -53,14 +60,14 @@ Graph GenerateGraph(ddc::MemorySystem* ms, const GraphConfig& config) {
           to = static_cast<int64_t>(v);
         }
       }
-      const int64_t w =
+      const uint64_t e = (v - 1) * deg + d;
+      sources[e] = from;
+      weights[e] =
           config.max_weight <= 1
               ? 1
               : 1 + static_cast<int64_t>(
                         rng.Uniform(static_cast<uint64_t>(config.max_weight)));
-      adj[static_cast<uint64_t>(from)].push_back({to, w});
       endpoint_pool.push_back(to);
-      ++edges;
     }
   }
 
@@ -75,17 +82,16 @@ Graph GenerateGraph(ddc::MemorySystem* ms, const GraphConfig& config) {
       ms->space().HostPtr(g.offsets, (v_count + 1) * 8));
   auto* tgt = static_cast<int64_t*>(ms->space().HostPtr(g.targets, edges * 8));
   auto* wgt = static_cast<int64_t*>(ms->space().HostPtr(g.weights, edges * 8));
-  uint64_t e = 0;
-  for (uint64_t v = 0; v < v_count; ++v) {
-    off[v] = static_cast<int64_t>(e);
-    for (const auto& [to, w] : adj[v]) {
-      tgt[e] = to;
-      wgt[e] = w;
-      ++e;
-    }
+  // CSR by a stable counting sort on the source: each vertex's out-edges
+  // keep their draw order. Alloc zero-fills, so off[] starts at 0.
+  for (uint64_t e = 0; e < edges; ++e) ++off[sources[e] + 1];
+  for (uint64_t v = 0; v < v_count; ++v) off[v + 1] += off[v];
+  std::vector<int64_t> cursor(off, off + v_count);
+  for (uint64_t e = 0; e < edges; ++e) {
+    const int64_t slot = cursor[static_cast<uint64_t>(sources[e])]++;
+    tgt[slot] = endpoint_pool[e + 1];
+    wgt[slot] = weights[e];
   }
-  off[v_count] = static_cast<int64_t>(e);
-  TELEPORT_CHECK(e == edges);
 
   ms->SeedData();
   return g;

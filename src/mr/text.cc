@@ -1,27 +1,33 @@
 #include "mr/text.h"
 
-#include <string>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 
 namespace teleport::mr {
 
-namespace {
-
-std::string SpellWord(uint64_t id) {
-  std::string w = "w";
-  do {
-    w += static_cast<char>('a' + id % 26);
-    id /= 26;
-  } while (id > 0);
-  return w;
-}
-
-}  // namespace
-
 TextCorpus GenerateText(ddc::MemorySystem* ms, const TextConfig& config) {
   Rng rng(config.seed);
   ZipfGenerator zipf(config.vocabulary, config.zipf_theta);
+
+  // Spell the vocabulary once into a table of fixed-stride slots: word i is
+  // 'w' followed by the base-26 digits of i, least significant first.
+  uint64_t stride = 2;
+  for (uint64_t n = config.vocabulary - 1; n >= 26; n /= 26) ++stride;
+  std::vector<char> spelled(config.vocabulary * stride);
+  std::vector<uint8_t> length(config.vocabulary);
+  for (uint64_t id = 0; id < config.vocabulary; ++id) {
+    char* w = &spelled[id * stride];
+    uint8_t len = 0;
+    w[len++] = 'w';
+    uint64_t rest = id;
+    do {
+      w[len++] = static_cast<char>('a' + rest % 26);
+      rest /= 26;
+    } while (rest > 0);
+    length[id] = len;
+  }
 
   TextCorpus corpus;
   corpus.addr = ms->space().Alloc(config.bytes, "text.corpus");
@@ -31,13 +37,15 @@ TextCorpus GenerateText(ddc::MemorySystem* ms, const TextConfig& config) {
   uint64_t pos = 0;
   uint64_t words_on_line = 0;
   while (pos < config.bytes) {
-    const std::string w = SpellWord(zipf.Sample(rng));
-    if (pos + w.size() + 1 >= config.bytes) {
+    const uint64_t id = zipf.Sample(rng);
+    const uint64_t len = length[id];
+    if (pos + len + 1 >= config.bytes) {
       // Pad the tail with spaces (tokenizers skip them).
       while (pos < config.bytes) out[pos++] = ' ';
       break;
     }
-    for (char ch : w) out[pos++] = ch;
+    std::memcpy(out + pos, &spelled[id * stride], len);
+    pos += len;
     ++corpus.words;
     ++words_on_line;
     if (words_on_line >= config.words_per_line &&

@@ -1,9 +1,5 @@
 #include "oltp/workload.h"
 
-#include <cmath>
-
-#include "common/logging.h"
-
 namespace teleport::oltp {
 
 uint64_t Mix64(uint64_t x) {
@@ -11,28 +7,6 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-ZipfGenerator::ZipfGenerator(uint64_t n, double theta)
-    : n_(n), theta_(theta) {
-  TELEPORT_CHECK(n >= 1);
-  zetan_ = 0;
-  for (uint64_t i = 1; i <= n_; ++i) {
-    zetan_ += 1.0 / std::pow(static_cast<double>(i), theta_);
-  }
-  zeta2_ = 1.0 + 1.0 / std::pow(2.0, theta_);
-  alpha_ = 1.0 / (1.0 - theta_);
-  eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
-         (1.0 - zeta2_ / zetan_);
-}
-
-uint64_t ZipfGenerator::Sample(double u) const {
-  const double uz = u * zetan_;
-  if (uz < 1.0) return 0;
-  if (uz < zeta2_) return 1;
-  const uint64_t rank = static_cast<uint64_t>(
-      static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
-  return rank >= n_ ? n_ - 1 : rank;
 }
 
 void PreloadTable(ddc::ExecutionContext& ctx, BTree& tree, uint64_t keyspace) {

@@ -32,7 +32,7 @@ struct YcsbConfig {
   double update_fraction = 0.35;
   double insert_fraction = 0.05;
   bool zipfian = false;       ///< zipfian vs uniform key popularity
-  double zipf_theta = 0.99;
+  double zipf_theta = 0.99;   ///< zipfian skew, in (0, 1); else aborts
   int scan_length = 8;
   uint64_t seed = 1;
   /// Abort retry budget per transaction; 0 = retry until commit (the
@@ -42,23 +42,6 @@ struct YcsbConfig {
   /// its context-metrics diff and end-to-end latency under `base_tenant`.
   sim::TenantScopes* scopes = nullptr;
   int base_tenant = 0;
-};
-
-/// YCSB zipfian key popularity (Gray et al. quantile transform), rank 0 the
-/// most popular. Construction is O(n) (zeta precomputation); sampling O(1).
-class ZipfGenerator {
- public:
-  ZipfGenerator(uint64_t n, double theta);
-  /// Maps a uniform u in [0, 1) to a rank in [0, n).
-  uint64_t Sample(double u) const;
-
- private:
-  uint64_t n_;
-  double theta_;
-  double zetan_;
-  double zeta2_;
-  double alpha_;
-  double eta_;
 };
 
 /// Populates keys [0, keyspace) with value Mix64(key), version 0, present.

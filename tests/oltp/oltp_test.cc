@@ -310,6 +310,23 @@ TEST(OltpPushdownTest, PushedAndLocalProbesAgreeOnContent) {
   EXPECT_EQ(commits[0], commits[1]);
 }
 
+// --- YCSB configuration -----------------------------------------------------
+
+TEST(OltpYcsbConfigTest, ZipfThetaOutsideOpenUnitIntervalAborts) {
+  // At theta = 1 the quantile transform's exponent 1/(1 - theta) is
+  // infinite, which sends most samples to the least popular key: the skew
+  // would silently invert.
+  Rig r = MakeRig();
+  oltp::YcsbConfig cfg;
+  cfg.zipfian = true;
+  cfg.zipf_theta = 1.0;
+  EXPECT_DEATH(RunYcsbSession(*r.ctx, *r.mgr, cfg, 0),
+               "theta must be in \\(0,1\\); got 1");
+  cfg.zipf_theta = 0.0;
+  EXPECT_DEATH(RunYcsbSession(*r.ctx, *r.mgr, cfg, 0),
+               "theta must be in \\(0,1\\); got 0");
+}
+
 // --- Multi-session interleaved smoke (the diff harness in miniature) --------
 
 TEST(OltpInterleavedTest, RandomScheduleMatchesSequentialGolden) {
