@@ -61,6 +61,32 @@ TEST(CachePolicyTest, ClockGivesReferencedPageASecondChance) {
   EXPECT_NE(ms.compute_perm(0), Perm::kNone);
 }
 
+// A bulk refetch re-caches pages exactly like demand faults do: each
+// arrives with a clear reference bit, whatever bit it held before the
+// flush dropped it.
+TEST(CachePolicyTest, ClockRefetchClearsReferenceBits) {
+  auto survivor_after_refill = [](bool bulk) {
+    MemorySystem ms = MakeSystem(CachePolicy::kClock);
+    const VAddr a = ms.space().Alloc(16 * kPage, "d");
+    ms.SeedData();
+    auto ctx = ms.CreateContext(Pool::kCompute);
+    for (int p = 0; p < 4; ++p) (void)ctx->Load<int64_t>(a + p * kPage);
+    (void)ctx->Load<int64_t>(a);  // sets page 0's reference bit
+    const uint64_t moved = ms.FlushAllCache(*ctx, /*drop=*/true);
+    EXPECT_EQ(moved, 4u);
+    if (bulk) {
+      ms.BulkRefetch(*ctx, moved);
+    } else {
+      for (int p = 0; p < 4; ++p) (void)ctx->Load<int64_t>(a + p * kPage);
+    }
+    EXPECT_EQ(ms.cache_pages_used(), 4u);
+    (void)ctx->Load<int64_t>(a + 4 * kPage);  // evicts at the hand
+    return ms.compute_perm(0) != Perm::kNone;
+  };
+  EXPECT_FALSE(survivor_after_refill(/*bulk=*/false));
+  EXPECT_FALSE(survivor_after_refill(/*bulk=*/true));
+}
+
 TEST(CachePolicyTest, PolicyNamesAreStable) {
   EXPECT_EQ(CachePolicyToString(CachePolicy::kLru), "LRU");
   EXPECT_EQ(CachePolicyToString(CachePolicy::kFifo), "FIFO");
