@@ -29,7 +29,7 @@ void Histogram::Add(int64_t value) {
   if (value < 0) value = 0;
   ++buckets_[BucketFor(static_cast<uint64_t>(value))];
   ++count_;
-  sum_ += value;
+  sum_ += static_cast<uint64_t>(value);
   min_ = std::min(min_, value);
   max_ = std::max(max_, value);
 }

@@ -54,7 +54,9 @@ class Histogram {
 
   uint64_t buckets_[kNumBuckets];
   uint64_t count_;
-  int64_t sum_;
+  /// Samples are clamped to [0, 2^63), so 128 bits hold the sum of 2^64 of
+  /// them: no merge of real histograms can overflow it.
+  unsigned __int128 sum_;
   int64_t min_;
   int64_t max_;
 };

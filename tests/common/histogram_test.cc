@@ -130,6 +130,15 @@ TEST(HistogramTest, HugeValuesStayFiniteAndBounded) {
     EXPECT_LE(v, static_cast<double>(h.max()));
   }
   EXPECT_EQ(h.max(), std::numeric_limits<int64_t>::max());
+  // The running sum passes 2^63 within one histogram and again across a
+  // merge; the mean must still lie inside the observed range.
+  Histogram other;
+  other.Add(std::numeric_limits<int64_t>::max());
+  other.Add(big);
+  h.Merge(other);
+  EXPECT_EQ(h.count(), 5u);
+  EXPECT_GE(h.Mean(), static_cast<double>(h.min()));
+  EXPECT_LE(h.Mean(), static_cast<double>(h.max()));
 }
 
 TEST(HistogramTest, NegativeClampsToZero) {
