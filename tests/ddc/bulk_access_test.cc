@@ -5,9 +5,11 @@
 // observable must match bit for bit: loaded values, final memory image,
 // both contexts' virtual clocks, and the full sim::Metrics of each side.
 // Spans are drawn with random alignment and lengths that straddle pages;
-// the sweep covers all four coherence modes, and one variant runs with
-// network faults armed (drops, delays, dups, link flaps, a pool crash)
-// so the fault paths are equivalence-checked too.
+// the sweep covers all four coherence modes and all three replacement
+// policies, one variant runs with network faults armed (drops, delays,
+// dups, link flaps, a pool crash) so the fault paths are equivalence-checked
+// too, and one runs a second compute node whose context interleaves
+// accesses to the same pages (cross-node ownership migration).
 
 #include <cstdint>
 #include <cstring>
@@ -104,18 +106,29 @@ net::FaultSpec LossySpec() {
 struct Observed {
   uint64_t digest = 0;
   Nanos compute_now = 0;
+  Nanos peer_now = 0;
   Nanos memory_now = 0;
   std::string compute_metrics;
+  std::string peer_metrics;
   std::string memory_metrics;
   std::vector<std::byte> image;
 };
 
-Observed RunProgram(Platform platform, CoherenceMode mode, uint64_t seed,
-                    bool scalar, bool faults) {
+struct Case {
+  Platform platform;
+  CoherenceMode mode;
+  bool faults;
+  CachePolicy policy = CachePolicy::kLru;
+  int compute_nodes = 1;
+};
+
+Observed RunProgram(const Case& k, uint64_t seed, bool scalar) {
   DdcConfig c;
-  c.platform = platform;
+  c.platform = k.platform;
   c.compute_cache_bytes = 4 * kPage;  // tiny: constant eviction pressure
   c.memory_pool_bytes = 8 * kPage;    // pool evicts to storage too
+  c.cache_policy = k.policy;
+  c.compute_nodes = k.compute_nodes;
   MemorySystem ms(c, sim::CostParams::Default(), 1 << 20);
   if (scalar) ms.set_scalar_datapath(true);
   const VAddr base = ms.space().Alloc(kDataBytes, "prop");
@@ -126,7 +139,7 @@ Observed RunProgram(Platform platform, CoherenceMode mode, uint64_t seed,
   }
   ms.SeedData();
   net::FaultInjector inj(seed);
-  if (faults) {
+  if (k.faults) {
     inj.SetSpecAll(LossySpec());
     inj.AddLinkFlaps(/*start=*/1 * kMillisecond,
                      /*duration=*/100 * kMicrosecond,
@@ -136,8 +149,12 @@ Observed RunProgram(Platform platform, CoherenceMode mode, uint64_t seed,
     ms.fabric().set_fault_injector(&inj);
     ms.set_retry_seed(0xb01);
   }
-  const bool ddc = platform == Platform::kBaseDdc;
-  auto cc = ms.CreateContext(Pool::kCompute);
+  const bool ddc = k.platform == Platform::kBaseDdc;
+  auto c0 = ms.CreateContext(Pool::kCompute);
+  // On a two-node rack every third compute-side op runs on node 1, so the
+  // two nodes keep taking pages from each other.
+  auto c1 = k.compute_nodes > 1 ? ms.CreateContext(Pool::kCompute, 1)
+                                : nullptr;
   auto mc = ddc ? ms.CreateContext(Pool::kMemory) : nullptr;
   bool session = false;
   Observed o;
@@ -145,7 +162,10 @@ Observed RunProgram(Platform platform, CoherenceMode mode, uint64_t seed,
     o.digest = o.digest * 1099511628211ULL + static_cast<uint64_t>(v);
   };
   std::vector<int64_t> buf(768 + 1);
+  int step = 0;
   for (const Op& op : MakeProgram(seed, 400)) {
+    ExecutionContext* cc = c1 != nullptr && step++ % 3 == 2 ? c1.get()
+                                                             : c0.get();
     switch (op.kind) {
       case Op::kLoad:
         mix(cc->Load<int64_t>(base + op.addr));
@@ -192,7 +212,7 @@ Observed RunProgram(Platform platform, CoherenceMode mode, uint64_t seed,
         if (session) {
           ms.EndPushdownSession();
         } else {
-          ms.BeginPushdownSession(mode);
+          ms.BeginPushdownSession(k.mode);
         }
         session = !session;
         break;
@@ -206,8 +226,12 @@ Observed RunProgram(Platform platform, CoherenceMode mode, uint64_t seed,
   }
   if (session) ms.EndPushdownSession();
 
-  o.compute_now = cc->now();
-  o.compute_metrics = cc->metrics().ToString();
+  o.compute_now = c0->now();
+  o.compute_metrics = c0->metrics().ToString();
+  if (c1 != nullptr) {
+    o.peer_now = c1->now();
+    o.peer_metrics = c1->metrics().ToString();
+  }
   if (mc != nullptr) {
     o.memory_now = mc->now();
     o.memory_metrics = mc->metrics().ToString();
@@ -218,26 +242,20 @@ Observed RunProgram(Platform platform, CoherenceMode mode, uint64_t seed,
   return o;
 }
 
-struct Case {
-  Platform platform;
-  CoherenceMode mode;
-  bool faults;
-};
-
 class BulkAccessEquivalenceTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(BulkAccessEquivalenceTest, ScalarAndBulkPathsAreBitIdentical) {
   const Case c = GetParam();
   for (const uint64_t seed : {11u, 22u, 33u}) {
-    const Observed bulk =
-        RunProgram(c.platform, c.mode, seed, /*scalar=*/false, c.faults);
-    const Observed scalar =
-        RunProgram(c.platform, c.mode, seed, /*scalar=*/true, c.faults);
+    const Observed bulk = RunProgram(c, seed, /*scalar=*/false);
+    const Observed scalar = RunProgram(c, seed, /*scalar=*/true);
     EXPECT_EQ(bulk.digest, scalar.digest) << "seed " << seed;
     EXPECT_EQ(bulk.compute_now, scalar.compute_now) << "seed " << seed;
+    EXPECT_EQ(bulk.peer_now, scalar.peer_now) << "seed " << seed;
     EXPECT_EQ(bulk.memory_now, scalar.memory_now) << "seed " << seed;
     EXPECT_EQ(bulk.compute_metrics, scalar.compute_metrics)
         << "seed " << seed;
+    EXPECT_EQ(bulk.peer_metrics, scalar.peer_metrics) << "seed " << seed;
     EXPECT_EQ(bulk.memory_metrics, scalar.memory_metrics) << "seed " << seed;
     EXPECT_TRUE(bulk.image == scalar.image) << "seed " << seed;
   }
@@ -252,7 +270,18 @@ INSTANTIATE_TEST_SUITE_P(
         Case{Platform::kBaseDdc, CoherenceMode::kNone, false},
         Case{Platform::kBaseDdc, CoherenceMode::kMesi, true},
         Case{Platform::kLinuxSsd, CoherenceMode::kNone, false},
-        Case{Platform::kLocal, CoherenceMode::kNone, false}));
+        Case{Platform::kLocal, CoherenceMode::kNone, false},
+        // FIFO and CLOCK hit bookkeeping on the pinned fast path.
+        Case{Platform::kBaseDdc, CoherenceMode::kMesi, false,
+             CachePolicy::kFifo},
+        Case{Platform::kBaseDdc, CoherenceMode::kMesi, false,
+             CachePolicy::kClock},
+        Case{Platform::kLinuxSsd, CoherenceMode::kNone, false,
+             CachePolicy::kClock},
+        // Node 1 interleaves with node 0: pins must refuse a page the
+        // other node caches, so the migration path stays scalar.
+        Case{Platform::kBaseDdc, CoherenceMode::kMesi, false,
+             CachePolicy::kLru, /*compute_nodes=*/2}));
 
 // The one-entry TLB on the plain Load/Store path (no cursor, no span) must
 // also be invisible: a mixed sequential/random scalar program matches the
