@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -11,239 +10,15 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "ddc/address_space.h"
+#include "ddc/execution_context.h"
 #include "ddc/journal.h"
+#include "ddc/placement.h"
 #include "ddc/types.h"
 #include "net/fabric.h"
-#include "sim/clock.h"
 #include "sim/cost_model.h"
 #include "sim/metrics.h"
 
 namespace teleport::ddc {
-
-class MemorySystem;
-class Cursor;
-
-/// One entry of the miniature software TLB used by the extent fast path: a
-/// pinned translation of a single page whose state is known to be a plain
-/// cache/pool *hit* for the recorded access modes. While the pin is valid, a
-/// same-page access can be charged in closed form (the hit cost of
-/// ChargeDram's sequential branch plus the hit-side bookkeeping) without a
-/// MemorySystem dispatch.
-///
-/// Validity is governed by three checks, all performed on every use:
-///  - `map_epoch` must equal MemorySystem's wholesale mapping epoch, bumped
-///    on bulk state rewrites (session boundaries, pool restarts, staging,
-///    page-table growth, mode flips).
-///  - `*page_epoch_ptr` must equal `page_epoch`: the pinned page's own
-///    shootdown counter, bumped on every per-page transition that could
-///    make the pin stale (coherence transitions, evictions, writebacks,
-///    flushes, permission changes). Together with the mapping epoch this is
-///    the TLB-shootdown invariant asserted by tp::ModelChecker (which
-///    watches the combined translation_epoch() sequence number).
-///  - `*stream_slot` must still equal `page`: the scalar cost model charges
-///    the cheap sequential rate only while the page occupies one of the
-///    context's stream trackers, and interleaved random accesses can evict
-///    it. A mismatch falls back to the full dispatch, which re-charges
-///    exactly what the scalar path would.
-///
-/// The raw pointers (page state flags, metrics counter, LRU list) stay valid
-/// between wholesale shootdowns because the page table only grows — and
-/// growth bumps the mapping epoch before any of them is dereferenced.
-struct PagePin {
-  VAddr v_lo = 1, v_hi = 0;  ///< pinned byte interval; empty = invalid
-  /// Snapshot of MemorySystem::mapping_epoch_: dies on wholesale shootdowns
-  /// (page-table growth, session begin/end, pool restart, mode flips). It
-  /// guards every raw pointer below, so it is checked before any of them.
-  uint64_t map_epoch = 0;
-  /// Snapshot of the pinned page's own shootdown counter: dies when *this*
-  /// page transitions (eviction, fill, permission change, coherence fault)
-  /// while pins on unrelated pages survive.
-  uint32_t page_epoch = 0;
-  const uint32_t* page_epoch_ptr = nullptr;
-  std::byte* host = nullptr;  ///< host pointer at v_lo
-  PageId page = kNoPage;
-  PageId* stream_slot = nullptr;  ///< slot in the owner's streams_[]
-  bool read_ok = false;
-  bool write_ok = false;
-  bool notify = false;     ///< observer attached at fill time
-  bool pool_side = false;  ///< kMemoryAccess (vs kComputeAccess) events
-  uint8_t lru_kind = 0;    ///< 0 none, 1 list move-to-front, 2 CLOCK ref bit
-  bool* dirty_flag = nullptr;    ///< compute_dirty / mem_dirty on write
-  bool* touched_flag = nullptr;  ///< temp_touched while a session is active
-  bool* ref_bit = nullptr;       ///< CLOCK reference bit (lru_kind == 2)
-  uint64_t* hit_counter = nullptr;  ///< cache_hits / memory_pool_hits
-  void* lru_list = nullptr;         ///< MemorySystem::LruList*
-  Nanos seq_ns = 0;                 ///< per-access sequential base cost
-  double ns_per_byte = 0;
-
-  void Reset() { *this = PagePin{}; }
-};
-
-/// A simulated thread of execution placed in one resource pool.
-///
-/// Owns a virtual clock and a metrics sink. All data accesses and CPU work of
-/// application code are charged through this object; the actual data lives in
-/// the MemorySystem's AddressSpace (real host memory), so application code
-/// computes real results while time is simulated.
-class ExecutionContext {
- public:
-  ExecutionContext(MemorySystem* ms, Pool pool, NodeId node = 0,
-                   TenantId tenant = 0)
-      : ms_(ms), pool_(pool), node_(node), tenant_(tenant) {}
-
-  ExecutionContext(const ExecutionContext&) = delete;
-  ExecutionContext& operator=(const ExecutionContext&) = delete;
-
-  Pool pool() const { return pool_; }
-  /// Rack placement: the compute-pool client this thread runs on (kCompute)
-  /// or the memory shard hosting the temporary context (kMemory).
-  NodeId node() const { return node_; }
-  /// Tenant charged for this thread's work (metrics attribution only).
-  TenantId tenant() const { return tenant_; }
-  MemorySystem& memory_system() { return *ms_; }
-
-  sim::VirtualClock& clock() { return clock_; }
-  Nanos now() const { return clock_.now(); }
-
-  sim::Metrics& metrics() { return metrics_; }
-  const sim::Metrics& metrics() const { return metrics_; }
-
-  /// Reads a POD value at `addr`, charging the access.
-  template <typename T>
-  T Load(VAddr addr) {
-    const void* p = TryPinned(tlb_, addr, sizeof(T), /*write=*/false);
-    if (p == nullptr) p = SlowAccess(addr, sizeof(T), /*write=*/false);
-    T v;
-    std::memcpy(&v, p, sizeof(T));
-    return v;
-  }
-
-  /// Writes a POD value at `addr`, charging the access.
-  template <typename T>
-  void Store(VAddr addr, const T& v) {
-    void* p = TryPinned(tlb_, addr, sizeof(T), /*write=*/true);
-    if (p == nullptr) p = SlowAccess(addr, sizeof(T), /*write=*/true);
-    std::memcpy(p, &v, sizeof(T));
-  }
-
-  /// Charges a read of [addr, addr+len) and returns a host pointer to it.
-  const void* ReadRange(VAddr addr, uint64_t len) {
-    const void* p = TryPinned(tlb_, addr, len, /*write=*/false);
-    return p != nullptr ? p : SlowAccess(addr, len, /*write=*/false);
-  }
-
-  /// Charges a write of [addr, addr+len) and returns a host pointer to it.
-  void* WriteRange(VAddr addr, uint64_t len) {
-    void* p = TryPinned(tlb_, addr, len, /*write=*/true);
-    return p != nullptr ? p : SlowAccess(addr, len, /*write=*/true);
-  }
-
-  // --- Extent (bulk) APIs ---------------------------------------------------
-  //
-  // Each is defined to perform exactly the element-by-element access
-  // sequence of the equivalent Load/Store loop — same touch order, same
-  // per-element charges — but runs of same-page hit accesses are charged in
-  // closed form through the pinned translation (one multiplication instead
-  // of N dispatches). With a yield hook installed (sim::CoopTask) or the
-  // TELEPORT_SCALAR_DATAPATH knob set, they degrade to the per-element
-  // scalar path so schedule-exploration granularity is preserved.
-
-  /// Reads `count` elements of T starting at `addr` into `dst`.
-  template <typename T>
-  void LoadSpan(VAddr addr, T* dst, uint64_t count);
-
-  /// Writes `count` elements of T from `src` starting at `addr`.
-  template <typename T>
-  void StoreSpan(VAddr addr, const T* src, uint64_t count);
-
-  /// Stores `count` copies of `value` starting at `addr`.
-  template <typename T>
-  void Fill(VAddr addr, const T& value, uint64_t count);
-
-  /// Copies `count` elements of T from `src_addr` to `dst_addr`, charging
-  /// the alternating load/store sequence of the scalar loop.
-  template <typename T>
-  void Memcpy(VAddr dst_addr, VAddr src_addr, uint64_t count);
-
-  /// Charges `ops` simple CPU operations at this pool's clock speed.
-  void ChargeCpu(uint64_t ops);
-
-  /// Advances this context's clock without touching memory (think of it as
-  /// a stall or sleep).
-  void AdvanceTime(Nanos delta) { clock_.Advance(delta); }
-
-  /// Time spent in coherence traffic (online synchronization) so far;
-  /// used for the Fig 19/20 pushdown breakdown.
-  Nanos coherence_ns() const { return coherence_ns_; }
-
-  /// Cooperative-scheduling hook, fired after every charged access and CPU
-  /// batch. sim::CoopTask uses it to preempt straight-line engine code at
-  /// its instrumentation points; null (the default) costs one branch.
-  using YieldFn = void (*)(void*);
-  void set_yield_hook(YieldFn fn, void* arg) {
-    yield_fn_ = fn;
-    yield_arg_ = arg;
-  }
-  /// The installed hook, so a borrowed execution context (a pushdown
-  /// kernel running on the caller's behalf) can inherit the caller's
-  /// preemption points. Without the handoff a memory-side spin loop —
-  /// e.g. a pushed B+-tree probe retrying a node seqlock — can never
-  /// yield back to the suspended compute-side writer it is waiting on,
-  /// livelocking the cooperative schedule.
-  YieldFn yield_fn() const { return yield_fn_; }
-  void* yield_arg() const { return yield_arg_; }
-
- private:
-  friend class MemorySystem;
-  friend class Cursor;
-
-  void* AccessImpl(VAddr addr, uint64_t len, bool write);
-
-  /// Fast path: serves [addr, addr+len) from a valid pin, charging the hit
-  /// cost, or returns nullptr when the pin does not cover the access.
-  void* TryPinned(PagePin& pin, VAddr addr, uint64_t len, bool write);
-  /// True when a pinned *run* may start at `addr` (same checks as TryPinned
-  /// but without charging; used by the span batchers).
-  bool PinnedRunReady(const PagePin& pin, VAddr addr, uint64_t len,
-                      bool write) const;
-  /// Charges `n` identical same-page hit accesses of `len` bytes against a
-  /// valid pin: the closed-form equivalent of n ChargeDram sequential hits
-  /// plus the per-hit bookkeeping (metrics, dirty bits, LRU, events).
-  void ChargePinnedRun(const PagePin& pin, uint64_t len, uint64_t n,
-                       bool write);
-  /// Full dispatch plus opportunistic pin refill for the context TLB: the
-  /// pin is (re)filled when the same page misses twice in a row, so random
-  /// access patterns do not pay the refill cost.
-  void* SlowAccess(VAddr addr, uint64_t len, bool write);
-  /// Full dispatch plus unconditional pin refill (cursors and spans declare
-  /// sequential intent).
-  void* PinnedSlowAccess(PagePin& pin, VAddr addr, uint64_t len, bool write);
-
-  MemorySystem* ms_;
-  Pool pool_;
-  NodeId node_ = 0;
-  TenantId tenant_ = 0;
-  sim::VirtualClock clock_;
-  sim::Metrics metrics_;
-  /// The context's one-entry translation cache (see PagePin).
-  PagePin tlb_;
-  PageId last_slow_page_ = kNoPage;
-  /// Recently touched pages, one per hardware-tracked stream: an access to
-  /// a tracked page (or its successor) is stream-like and cheap, anything
-  /// else pays the DRAM row-miss cost. Modeling several streams matters
-  /// because columnar operators interleave a handful of sequential arrays
-  /// (input column, candidate list, output), which real prefetchers and
-  /// TLBs handle concurrently.
-  static constexpr int kStreams = 8;
-  PageId streams_[kStreams] = {kNoPage, kNoPage, kNoPage, kNoPage,
-                               kNoPage, kNoPage, kNoPage, kNoPage};
-  int stream_clock_ = 0;
-  /// Previously faulted page (per backend), for SSD readahead modeling.
-  PageId last_fault_page_ = kNoPage;
-  Nanos coherence_ns_ = 0;
-  YieldFn yield_fn_ = nullptr;
-  void* yield_arg_ = nullptr;
-};
 
 /// Coherence behavior of a pushdown session (§4.1 default and §4.2
 /// relaxations, selected with the pushdown `flags` argument).
@@ -475,21 +250,21 @@ class MemorySystem {
   /// Pages cached across every compute node (or one node's with `node`).
   uint64_t cache_pages_used() const {
     uint64_t n = 0;
-    for (const ComputeNodeState& c : cnodes_) n += c.cache_used;
+    for (const ComputeCache& c : caches_) n += c.used();
     return n;
   }
   uint64_t cache_pages_used_on(NodeId node) const {
-    return cnodes_[static_cast<size_t>(node)].cache_used;
+    return caches_[static_cast<size_t>(node)].used();
   }
-  uint64_t cache_capacity_pages() const { return cache_capacity_pages_; }
+  uint64_t cache_capacity_pages() const { return caches_[0].capacity(); }
   /// Pages resident across every pool shard (or one shard's with `shard`).
   uint64_t memory_pool_pages_used() const {
     uint64_t n = 0;
-    for (const ShardState& sh : shards_) n += sh.pool_used;
+    for (const PoolShard& sh : shards_) n += sh.used();
     return n;
   }
   uint64_t memory_pool_pages_used_on(int shard) const {
-    return shards_[static_cast<size_t>(shard)].pool_used;
+    return shards_[static_cast<size_t>(shard)].used();
   }
   /// Compute node caching `p`; meaningful only while compute_perm != kNone.
   NodeId cache_owner(PageId p) const { return PS(p).owner; }
@@ -610,7 +385,7 @@ class MemorySystem {
   /// after a recovery a shard fences (rejects) RPCs carrying an older epoch
   /// for it — other shards' admissions are unaffected.
   uint64_t pool_epoch(int shard = 0) const {
-    return shards_[static_cast<size_t>(shard)].pool_epoch;
+    return shards_[static_cast<size_t>(shard)].epoch();
   }
 
   /// Pool-side exactly-once filter of one shard: records `token` in that
@@ -629,7 +404,7 @@ class MemorySystem {
   void set_journal_enabled(bool on) { journal_enabled_ = on; }
   bool journal_enabled() const { return journal_enabled_; }
   const Journal& journal(int shard = 0) const {
-    return shards_[static_cast<size_t>(shard)].journal;
+    return shards_[static_cast<size_t>(shard)].journal();
   }
 
   uint64_t lost_pool_writes() const { return lost_pool_writes_; }
@@ -637,14 +412,12 @@ class MemorySystem {
   /// Crash-restart windows applied, summed across shards.
   int pool_restarts_applied() const {
     int n = 0;
-    for (const ShardState& sh : shards_) n += sh.pool_restarts_applied;
+    for (const PoolShard& sh : shards_) n += sh.restarts_applied();
     return n;
   }
 
  private:
   friend class ExecutionContext;
-
-  static constexpr uint32_t kNil = 0xffffffffu;
 
   struct PageState {
     Perm compute_perm = Perm::kNone;
@@ -657,7 +430,6 @@ class MemorySystem {
     bool in_memory_pool = false;
     bool mem_dirty = false;   ///< pool copy dirty w.r.t. storage
     bool on_storage = false;  ///< page has a copy in the storage pool
-    bool ref_bit = false;     ///< CLOCK second-chance reference bit
     /// Compute node whose cache maps the page (meaningful only while
     /// compute_perm != kNone). Exactly one client may cache a page at a
     /// time — the two-sided §4.1 protocol stays two-sided; a touch from
@@ -666,60 +438,6 @@ class MemorySystem {
     /// End of the §4.1 in-flight window of a memory-side upgrade request;
     /// compute-side write faults inside the window lose the tiebreak.
     Nanos mem_upgrade_inflight_until = 0;
-  };
-
-  /// Intrusive-by-index LRU list over page ids. List surgery is inline:
-  /// it sits on the hit path of every charged access (directly or via the
-  /// pinned fast path's move-to-front-if-needed).
-  class LruList {
-   public:
-    void EnsureSize(size_t n);
-    bool Contains(PageId p) const {
-      return p < in_list_.size() && in_list_[p] != 0;
-    }
-    void PushFront(PageId p) {
-      EnsureSize(p + 1);
-      TELEPORT_DCHECK(!Contains(p));
-      prev_[p] = kNil;
-      next_[p] = head_;
-      if (head_ != kNil) prev_[head_] = static_cast<uint32_t>(p);
-      head_ = static_cast<uint32_t>(p);
-      if (tail_ == kNil) tail_ = static_cast<uint32_t>(p);
-      in_list_[p] = 1;
-      ++size_;
-    }
-    void Remove(PageId p) {
-      TELEPORT_DCHECK(Contains(p));
-      const uint32_t pr = prev_[p];
-      const uint32_t nx = next_[p];
-      if (pr != kNil) next_[pr] = nx; else head_ = nx;
-      if (nx != kNil) prev_[nx] = pr; else tail_ = pr;
-      prev_[p] = next_[p] = kNil;
-      in_list_[p] = 0;
-      --size_;
-    }
-    void MoveToFront(PageId p) {
-      Remove(p);
-      PushFront(p);
-    }
-    /// Most-recently-used element; kNil if empty. The pinned fast path
-    /// skips MoveToFront when the page is already at the front, which
-    /// preserves the exact recency order at a fraction of the cost.
-    PageId Front() const { return head_; }
-    /// Least-recently-used element; kNil if empty.
-    PageId Back() const { return tail_; }
-    size_t size() const { return size_; }
-    /// Empties the list in O(capacity) (crash-restart wipes a whole pool).
-    void Clear();
-
-   private:
-    std::vector<uint32_t> prev_, next_;
-    /// Membership bitmap. uint8_t, not vector<bool>: Contains() is on the
-    /// access hot path and the proxy-reference bit arithmetic costs more
-    /// than the 8x space.
-    std::vector<uint8_t> in_list_;
-    uint32_t head_ = kNil, tail_ = kNil;
-    size_t size_ = 0;
   };
 
   PageState& PS(PageId p);
@@ -745,17 +463,41 @@ class MemorySystem {
   /// fault handler's service time; storage metrics are charged to `ctx`.
   Nanos EnsureInMemoryPoolCost(ExecutionContext& ctx, PageId page);
 
-  /// Inserts a page into `ctx`'s node's compute cache, evicting if full.
-  void CacheInsert(ExecutionContext& ctx, PageId page, Perm perm, bool dirty);
-  /// Applies the configured replacement policy's hit bookkeeping (on the
-  /// owning node's cache).
-  void TouchCachePage(PageId page);
-  void EvictOneCachePage(ExecutionContext& ctx);
-  /// Evicts a specific page from its owner's cache (cross-node migration:
-  /// another client touched a page this one caches). Same charges and
-  /// events as a capacity eviction of that page.
-  void EvictSpecificCachePage(ExecutionContext& ctx, PageId page);
-  void EvictOnePoolPage(ExecutionContext& ctx, int shard);
+  /// Maps `page` into `ctx`'s node's cache, first evicting that cache's
+  /// victim when it is full; `trace` emits the "Fill" cache instant.
+  void CacheInsert(ExecutionContext& ctx, PageId page, Perm perm, bool dirty,
+                   bool trace = true);
+  /// Evicts `page` from its owner's cache: a capacity victim, or a page
+  /// another client touched (cross-node migration). A dirty page is
+  /// written back to its home shard over the owner's link.
+  void EvictCachePage(ExecutionContext& ctx, PageId page);
+
+  PoolShard& ShardFor(PageId p) {
+    return shards_[static_cast<size_t>(ShardOf(p))];
+  }
+  /// Makes `page` resident in its home shard, evicting the shard's LRU
+  /// victim to storage (charged to `ctx`) when it is full. Returns whether
+  /// the page was already resident.
+  bool PoolAdmit(ExecutionContext& ctx, PageId page);
+  /// Storage side of a pool eviction: `victim` has left its shard's LRU.
+  void EvictPoolPage(ExecutionContext& ctx, PageId victim);
+  /// Pool side of a dirty-page writeback from the compute side: admits
+  /// `page` (promoting it if already resident only when `promote` is set:
+  /// eviction writebacks do, syncmem and flushes do not), marks the pool
+  /// copy dirty and acknowledges it into the journal.
+  void PoolWriteback(ExecutionContext& ctx, PageId page, bool promote);
+
+  /// The tail of every fabric charge point: advances `ctx` to `done`,
+  /// attributes the fabric's queueing counters to it, and counts the
+  /// messages and bytes it sent.
+  void SettleTransfer(ExecutionContext& ctx, Nanos done, uint64_t messages,
+                      uint64_t bytes);
+  /// The eager strawman's bulk stream between ctx's node and the shards
+  /// (FlushRange writeback, BulkRefetch refill): one gather per shard of
+  /// `per_shard[s]` pages plus the per-page sync cost. Returns when it
+  /// completes.
+  Nanos StreamPages(ExecutionContext& ctx,
+                    const std::vector<uint64_t>& per_shard, bool to_memory);
 
   /// Reports a completed transition to the attached observer, if any.
   void Notify(CoherenceEvent::Kind kind, PageId page, bool write, Nanos at,
@@ -822,41 +564,15 @@ class MemorySystem {
   /// advances time, touches metrics, or changes page state.
   void FillPin(ExecutionContext& ctx, PagePin& pin, PageId page);
 
-  /// One compute-pool client's cache state. Every client has its own DRAM
-  /// of `compute_cache_bytes` and its own replacement order.
-  struct ComputeNodeState {
-    LruList cache_lru;
-    uint64_t cache_used = 0;
-  };
-
-  /// One memory-pool shard: a contiguous slice of the page table (see
-  /// ShardOf) with independent capacity, replacement order, redo journal,
-  /// exactly-once dedup table, and lease epoch. The journal and dedup
-  /// table model the battery-backed region that survives a crash-restart,
-  /// so ApplyPoolRestartsAt never wipes them.
-  struct ShardState {
-    LruList pool_lru;
-    uint64_t pool_used = 0;
-    int pool_restarts_applied = 0;
-    /// Lease epoch; bumped once per applied crash-restart window of THIS
-    /// shard only.
-    uint64_t pool_epoch = 1;
-    Journal journal;
-    /// Idempotency tokens already executed by this shard.
-    std::vector<uint8_t> executed_tokens;
-  };
-
   DdcConfig config_;
   sim::CostParams params_;
   AddressSpace space_;
   net::Fabric fabric_;
 
   std::vector<PageState> pages_;
-  std::vector<ComputeNodeState> cnodes_;  ///< one per compute client
-  std::vector<ShardState> shards_;        ///< one per memory shard
-  uint64_t pages_per_shard_;              ///< block-partition stride
-  uint64_t cache_capacity_pages_;         ///< per compute node
-  uint64_t pool_capacity_pages_;          ///< per shard
+  std::vector<ComputeCache> caches_;  ///< one per compute client
+  std::vector<PoolShard> shards_;     ///< one per memory shard
+  uint64_t pages_per_shard_;          ///< block-partition stride
 
   bool pushdown_active_ = false;
   int session_refcount_ = 0;
@@ -891,6 +607,8 @@ class MemorySystem {
   /// BulkRefetch to restore the cache in the eager strawman.
   std::vector<PageId> flushed_pages_;
 };
+
+// --- ExecutionContext members that read MemorySystem state ------------------
 
 inline void* ExecutionContext::AccessImpl(VAddr addr, uint64_t len,
                                           bool write) {
@@ -956,13 +674,11 @@ inline void ExecutionContext::ChargePinnedRun(const PagePin& pin, uint64_t len,
                                               uint64_t n, bool write) {
   // Exactly the hit-side bookkeeping of n scalar Touch calls.
   if (pin.hit_counter != nullptr) *pin.hit_counter += n;
-  if (pin.lru_kind == 1) {
-    auto* lru = static_cast<MemorySystem::LruList*>(pin.lru_list);
-    // MoveToFront of the front element is a structural no-op; skipping it
-    // preserves the exact recency order.
-    if (lru->Front() != pin.page) lru->MoveToFront(pin.page);
-  } else if (pin.lru_kind == 2) {
-    *pin.ref_bit = true;  // CLOCK: idempotent
+  // Replacement bookkeeping is idempotent across a same-page run.
+  if (pin.cache != nullptr) {
+    pin.cache->OnHit(pin.page);
+  } else if (pin.shard != nullptr) {
+    pin.shard->Touch(pin.page);
   }
   if (write) {
     if (pin.dirty_flag != nullptr) *pin.dirty_flag = true;
@@ -978,8 +694,8 @@ inline void ExecutionContext::ChargePinnedRun(const PagePin& pin, uint64_t len,
   }
   // With an observer attached every access reports its own event at its own
   // timestamp, so the event stream stays identical to the scalar path.
-  const auto kind = pin.pool_side ? CoherenceEvent::Kind::kMemoryAccess
-                                  : CoherenceEvent::Kind::kComputeAccess;
+  const auto kind = pin.shard != nullptr ? CoherenceEvent::Kind::kMemoryAccess
+                                         : CoherenceEvent::Kind::kComputeAccess;
   for (uint64_t i = 0; i < n; ++i) {
     clock_.Advance(per);
     ms_->Notify(kind, pin.page, write, clock_.now());
@@ -1027,159 +743,6 @@ inline void* ExecutionContext::PinnedSlowAccess(PagePin& pin, VAddr addr,
   ms_->FillPin(*this, pin, (addr + len - 1) / ms_->space().page_size());
   return p;
 }
-
-template <typename T>
-void ExecutionContext::LoadSpan(VAddr addr, T* dst, uint64_t count) {
-  uint64_t i = 0;
-  while (i < count) {
-    const VAddr a = addr + i * sizeof(T);
-    if (yield_fn_ == nullptr && PinnedRunReady(tlb_, a, sizeof(T), false)) {
-      uint64_t n = (tlb_.v_hi - a + 1) / sizeof(T);  // run staying in the pin
-      n = std::min(n, count - i);
-      ChargePinnedRun(tlb_, sizeof(T), n, false);
-      std::memcpy(dst + i, tlb_.host + (a - tlb_.v_lo), n * sizeof(T));
-      i += n;
-      continue;
-    }
-    const void* p = TryPinned(tlb_, a, sizeof(T), false);
-    if (p == nullptr) p = PinnedSlowAccess(tlb_, a, sizeof(T), false);
-    std::memcpy(dst + i, p, sizeof(T));
-    ++i;
-  }
-}
-
-template <typename T>
-void ExecutionContext::StoreSpan(VAddr addr, const T* src, uint64_t count) {
-  uint64_t i = 0;
-  while (i < count) {
-    const VAddr a = addr + i * sizeof(T);
-    if (yield_fn_ == nullptr && PinnedRunReady(tlb_, a, sizeof(T), true)) {
-      uint64_t n = (tlb_.v_hi - a + 1) / sizeof(T);
-      n = std::min(n, count - i);
-      ChargePinnedRun(tlb_, sizeof(T), n, true);
-      std::memcpy(tlb_.host + (a - tlb_.v_lo), src + i, n * sizeof(T));
-      i += n;
-      continue;
-    }
-    void* p = TryPinned(tlb_, a, sizeof(T), true);
-    if (p == nullptr) p = PinnedSlowAccess(tlb_, a, sizeof(T), true);
-    std::memcpy(p, src + i, sizeof(T));
-    ++i;
-  }
-}
-
-template <typename T>
-void ExecutionContext::Fill(VAddr addr, const T& value, uint64_t count) {
-  uint64_t i = 0;
-  while (i < count) {
-    const VAddr a = addr + i * sizeof(T);
-    if (yield_fn_ == nullptr && PinnedRunReady(tlb_, a, sizeof(T), true)) {
-      uint64_t n = (tlb_.v_hi - a + 1) / sizeof(T);
-      n = std::min(n, count - i);
-      ChargePinnedRun(tlb_, sizeof(T), n, true);
-      std::byte* h = tlb_.host + (a - tlb_.v_lo);
-      for (uint64_t j = 0; j < n; ++j) {
-        std::memcpy(h + j * sizeof(T), &value, sizeof(T));
-      }
-      i += n;
-      continue;
-    }
-    void* p = TryPinned(tlb_, a, sizeof(T), true);
-    if (p == nullptr) p = PinnedSlowAccess(tlb_, a, sizeof(T), true);
-    std::memcpy(p, &value, sizeof(T));
-    ++i;
-  }
-}
-
-template <typename T>
-void ExecutionContext::Memcpy(VAddr dst_addr, VAddr src_addr, uint64_t count) {
-  // Element sequence of the scalar loop: load src[i], then store dst[i].
-  // The source gets a local pin so the context TLB keeps covering the
-  // destination page across calls.
-  PagePin src_pin;
-  uint64_t i = 0;
-  while (i < count) {
-    const VAddr sa = src_addr + i * sizeof(T);
-    const VAddr da = dst_addr + i * sizeof(T);
-    if (yield_fn_ == nullptr && PinnedRunReady(src_pin, sa, sizeof(T), false) &&
-        PinnedRunReady(tlb_, da, sizeof(T), true)) {
-      uint64_t n = std::min((src_pin.v_hi - sa + 1) / sizeof(T),
-                            (tlb_.v_hi - da + 1) / sizeof(T));
-      n = std::min(n, count - i);
-      if (src_pin.notify || tlb_.notify) {
-        // Preserve the exact load/store event interleaving for observers.
-        for (uint64_t j = 0; j < n; ++j) {
-          ChargePinnedRun(src_pin, sizeof(T), 1, false);
-          ChargePinnedRun(tlb_, sizeof(T), 1, true);
-        }
-      } else {
-        // Grouped charging: all Advances are constants, so the clock and
-        // every counter land exactly where the alternating loop puts them.
-        ChargePinnedRun(src_pin, sizeof(T), n, false);
-        ChargePinnedRun(tlb_, sizeof(T), n, true);
-      }
-      std::memmove(tlb_.host + (da - tlb_.v_lo),
-                   src_pin.host + (sa - src_pin.v_lo), n * sizeof(T));
-      i += n;
-      continue;
-    }
-    T v;
-    const void* sp = TryPinned(src_pin, sa, sizeof(T), false);
-    if (sp == nullptr) sp = PinnedSlowAccess(src_pin, sa, sizeof(T), false);
-    std::memcpy(&v, sp, sizeof(T));
-    void* dp = TryPinned(tlb_, da, sizeof(T), true);
-    if (dp == nullptr) dp = PinnedSlowAccess(tlb_, da, sizeof(T), true);
-    std::memcpy(dp, &v, sizeof(T));
-    ++i;
-  }
-}
-
-/// Sequential accessor carrying its own translation pin. Engine inner loops
-/// hold one Cursor per array they walk, so each stream keeps its page pinned
-/// independently of the others (mirroring the kStreams DRAM model): a miss
-/// refills the pin unconditionally — constructing a Cursor *declares*
-/// sequential intent, unlike the plain Load/Store TLB which waits for two
-/// consecutive same-page misses. Charges and access order are identical to
-/// issuing the same Load/Store sequence on the context directly.
-class Cursor {
- public:
-  explicit Cursor(ExecutionContext& ctx) : ctx_(&ctx) {}
-
-  template <typename T>
-  T Load(VAddr addr) {
-    const void* p = ctx_->TryPinned(pin_, addr, sizeof(T), /*write=*/false);
-    if (p == nullptr) {
-      p = ctx_->PinnedSlowAccess(pin_, addr, sizeof(T), /*write=*/false);
-    }
-    T v;
-    std::memcpy(&v, p, sizeof(T));
-    return v;
-  }
-
-  template <typename T>
-  void Store(VAddr addr, const T& v) {
-    void* p = ctx_->TryPinned(pin_, addr, sizeof(T), /*write=*/true);
-    if (p == nullptr) {
-      p = ctx_->PinnedSlowAccess(pin_, addr, sizeof(T), /*write=*/true);
-    }
-    std::memcpy(p, &v, sizeof(T));
-  }
-
-  const void* ReadRange(VAddr addr, uint64_t len) {
-    const void* p = ctx_->TryPinned(pin_, addr, len, /*write=*/false);
-    return p != nullptr ? p
-                        : ctx_->PinnedSlowAccess(pin_, addr, len, false);
-  }
-
-  void* WriteRange(VAddr addr, uint64_t len) {
-    void* p = ctx_->TryPinned(pin_, addr, len, /*write=*/true);
-    return p != nullptr ? p : ctx_->PinnedSlowAccess(pin_, addr, len, true);
-  }
-
- private:
-  ExecutionContext* ctx_;
-  PagePin pin_;
-};
 
 }  // namespace teleport::ddc
 

@@ -343,6 +343,30 @@ Nanos Fabric::SendGatherToCompute(Link link, Nanos now,
   return SendToCompute(link, now, total, kind);
 }
 
+Nanos Fabric::SendPages(int node, Nanos now,
+                        const std::vector<uint64_t>& pages_per_shard,
+                        uint64_t header, bool to_memory, MessageKind kind,
+                        bool stream) {
+  uint64_t pages = 0;
+  for (const uint64_t n : pages_per_shard) pages += n;
+  if (stream && (backend_ == Backend::kIdeal || pages == 0)) {
+    return now + params_.net_latency_ns +
+           SerializationNs(pages * params_.page_size, params_.net_bytes_per_ns);
+  }
+  Nanos last = now;
+  std::vector<uint64_t> segments;
+  for (size_t s = 0; s < pages_per_shard.size(); ++s) {
+    if (pages_per_shard[s] == 0) continue;
+    segments.assign(header > 0 ? 1 : 0, header);
+    segments.insert(segments.end(), pages_per_shard[s], params_.page_size);
+    const Link link{node, static_cast<int>(s)};
+    last = std::max(last, to_memory
+                              ? SendGatherToMemory(link, now, segments, kind)
+                              : SendGatherToCompute(link, now, segments, kind));
+  }
+  return last;
+}
+
 Nanos Fabric::QueueBacklogNs(Link link, Nanos now) const {
   if (backend_ == Backend::kIdeal) return 0;
   const Nanos nic = nic_busy_[static_cast<size_t>(link.src)];

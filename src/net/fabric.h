@@ -270,6 +270,20 @@ class Fabric {
                             const std::vector<uint64_t>& segments,
                             MessageKind kind = MessageKind::kPageFaultReply);
 
+  /// Bulk page transfer between compute node `node` and the shards: shard s
+  /// moves `pages_per_shard[s]` pages as one scatter-gather verb posted at
+  /// `now`, led by a `header`-byte segment when `header` is nonzero; shards
+  /// without pages send nothing. Returns the last delivery (`now` if none).
+  /// A `stream` transfer (the eager flush/refetch strawman) is instead the
+  /// closed-form estimate under kIdeal, and on any backend when it carries
+  /// no pages: latency plus serialization of the payload, with the fabric
+  /// untouched, since committed channel residency from a bulk stream would
+  /// perturb unrelated lagging sends' FIFO clamps.
+  Nanos SendPages(int node, Nanos now,
+                  const std::vector<uint64_t>& pages_per_shard,
+                  uint64_t header, bool to_memory, MessageKind kind,
+                  bool stream);
+
   /// Fault-visible round trip from the compute side: fails when either the
   /// request or the reply is dropped (the caller cannot distinguish the two
   /// — it just never hears back before its retransmission timeout). On
