@@ -474,10 +474,12 @@ void ModelChecker::OnCoherenceEvent(const CoherenceEvent& ev) {
   switch (ev.kind) {
     case CoherenceEvent::Kind::kSessionBegin:
       StepSessionBegin(ev);
+      CheckPlacement(ev);
       ++steps_;
       return;
     case CoherenceEvent::Kind::kSessionEnd:
       StepSessionEnd(ev);
+      CheckPlacement(ev);
       ++steps_;
       return;
     case CoherenceEvent::Kind::kComputeAccess:
@@ -556,6 +558,7 @@ void ModelChecker::OnCoherenceEvent(const CoherenceEvent& ev) {
           ++pending_recover_count_;
         }
       }
+      CheckPlacement(ev);
       ++steps_;
       return;
     }
@@ -617,6 +620,11 @@ void ModelChecker::OnCoherenceEvent(const CoherenceEvent& ev) {
   ++steps_;
 }
 
+void ModelChecker::CheckPlacement(const CoherenceEvent& ev) {
+  const std::string error = ms_->AuditPlacement();
+  if (!error.empty()) Fail(ev, "placement audit: " + error);
+}
+
 uint64_t ModelChecker::Finish() {
   if (attached_) {
     if (pending_recover_count_ > 0) {
@@ -652,6 +660,8 @@ uint64_t ModelChecker::Finish() {
              os.str());
       }
     }
+    CheckPlacement(
+        CoherenceEvent{CoherenceEvent::Kind::kSessionEnd, 0, false, mode_, 0});
     if (ms_->coherence_observer() == this) {
       ms_->set_coherence_observer(nullptr);
     }

@@ -63,6 +63,12 @@ namespace teleport::tp {
 ///     discharge — any later transactional event or Finish() with
 ///     obligations outstanding means an aborted write stayed visible
 ///     (catches kSkipAbortUndo).
+///  8. *Placement* — at every session boundary, after every pool restart
+///     and at Finish(), ddc::MemorySystem::AuditPlacement() finds the
+///     records of which pages each compute cache and pool shard holds
+///     consistent: every cached page in exactly one cache and mapped,
+///     every pool page in its home shard only, used() counts that match
+///     the members and fit the capacity, and no CLOCK bit on a non-member.
 ///
 /// The checker is an observer: it never mutates the system, costs no
 /// virtual time, and can be attached to any kBaseDdc MemorySystem — tests
@@ -132,6 +138,8 @@ class ModelChecker : public ddc::CoherenceObserver {
   // Invariant checks for the page touched by `ev`.
   void CheckAgainstImpl(const ddc::CoherenceEvent& ev, ddc::PageId p);
   void CheckSwmr(const ddc::CoherenceEvent& ev, ddc::PageId p);
+  /// Invariant 8: records a violation when the placement audit fails.
+  void CheckPlacement(const ddc::CoherenceEvent& ev);
 
   ddc::MemorySystem* ms_;
   const OnViolation action_;

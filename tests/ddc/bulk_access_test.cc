@@ -112,6 +112,7 @@ struct Observed {
   std::string peer_metrics;
   std::string memory_metrics;
   std::vector<std::byte> image;
+  std::string placement_audit;
 };
 
 struct Case {
@@ -239,6 +240,7 @@ Observed RunProgram(const Case& k, uint64_t seed, bool scalar) {
   const auto* img =
       static_cast<const std::byte*>(ms.space().HostPtr(base, kDataBytes));
   o.image.assign(img, img + kDataBytes);
+  o.placement_audit = ms.AuditPlacement();
   return o;
 }
 
@@ -258,6 +260,8 @@ TEST_P(BulkAccessEquivalenceTest, ScalarAndBulkPathsAreBitIdentical) {
     EXPECT_EQ(bulk.peer_metrics, scalar.peer_metrics) << "seed " << seed;
     EXPECT_EQ(bulk.memory_metrics, scalar.memory_metrics) << "seed " << seed;
     EXPECT_TRUE(bulk.image == scalar.image) << "seed " << seed;
+    EXPECT_EQ(bulk.placement_audit, "") << "seed " << seed;
+    EXPECT_EQ(scalar.placement_audit, "") << "seed " << seed;
   }
 }
 

@@ -87,6 +87,21 @@ TEST(CachePolicyTest, ClockRefetchClearsReferenceBits) {
   EXPECT_FALSE(survivor_after_refill(/*bulk=*/true));
 }
 
+// A page that leaves the cache takes its CLOCK reference bit with it, so
+// the placement audit finds no bit on a page the cache no longer holds.
+TEST(CachePolicyTest, ClockFlushDropLeavesNoStaleReferenceBit) {
+  MemorySystem ms = MakeSystem(CachePolicy::kClock);
+  const VAddr a = ms.space().Alloc(16 * kPage, "d");
+  ms.SeedData();
+  auto ctx = ms.CreateContext(Pool::kCompute);
+  for (int p = 0; p < 4; ++p) (void)ctx->Load<int64_t>(a + p * kPage);
+  (void)ctx->Load<int64_t>(a);  // sets page 0's reference bit
+  EXPECT_EQ(ms.AuditPlacement(), "");
+  EXPECT_EQ(ms.FlushRange(*ctx, a, 4 * kPage, /*drop=*/true), 4u);
+  EXPECT_EQ(ms.cache_pages_used(), 0u);
+  EXPECT_EQ(ms.AuditPlacement(), "");
+}
+
 TEST(CachePolicyTest, PolicyNamesAreStable) {
   EXPECT_EQ(CachePolicyToString(CachePolicy::kLru), "LRU");
   EXPECT_EQ(CachePolicyToString(CachePolicy::kFifo), "FIFO");

@@ -71,6 +71,7 @@ TEST_P(LruPropertyTest, CacheContentsMatchOracle) {
       ASSERT_EQ(ms.compute_perm(q) != Perm::kNone, oracle.Contains(q))
           << "page " << q << " after op " << i;
     }
+    ASSERT_EQ(ms.AuditPlacement(), "") << "after op " << i;
   }
 }
 
@@ -92,6 +93,7 @@ TEST(PoolCapacityTest, PoolNeverExceedsCapacity) {
     ctx->Store<int64_t>(base + p * kPage, i);
     ASSERT_LE(ms.memory_pool_pages_used(), 8u);
     ASSERT_LE(ms.cache_pages_used(), 4u);
+    ASSERT_EQ(ms.AuditPlacement(), "") << "after op " << i;
   }
   EXPECT_GT(ctx->metrics().storage_writes, 0u);  // the pool spilled
 }
@@ -142,6 +144,7 @@ TEST(PoolCapacityTest, LinuxSsdCacheMatchesOracleToo) {
     (void)ctx->Load<int64_t>(base + p * kPage);
     oracle.Touch(p);
     ASSERT_EQ(ms.cache_pages_used(), oracle.size());
+    ASSERT_EQ(ms.AuditPlacement(), "") << "after op " << i;
   }
 }
 
