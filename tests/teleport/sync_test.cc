@@ -1,4 +1,5 @@
 #include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -59,6 +60,23 @@ TEST_F(SyncTest, SyncmemFlushesOnlyDirtyPagesInRange) {
   // Flushed pages stay cached, read-only.
   EXPECT_EQ(ms_.compute_perm(ms_.space().PageOf(a + 2 * kPage)),
             ddc::Perm::kRead);
+}
+
+// A zero-length syncmem covers no page, wherever it points: no dirty bit,
+// clock or counter moves (the range's last page must not wrap around).
+TEST_F(SyncTest, ZeroLengthSyncmemFlushesNothing) {
+  auto ctx = ms_.CreateContext(Pool::kCompute);
+  const VAddr a = MakeDirtyPages(*ctx, 8);
+  const Nanos before = ctx->now();
+  const std::string metrics = ctx->metrics().ToString();
+  ms_.Syncmem(*ctx, 0, 0);
+  ms_.Syncmem(*ctx, a + 3 * kPage + 8, 0);
+  EXPECT_EQ(ctx->now(), before);
+  EXPECT_EQ(ctx->metrics().ToString(), metrics);
+  for (int p = 0; p < 8; ++p) {
+    EXPECT_TRUE(ms_.compute_dirty(ms_.space().PageOf(a + p * kPage)))
+        << "page " << p;
+  }
 }
 
 TEST_F(SyncTest, SyncmemIsIdempotent) {
