@@ -9,6 +9,15 @@
 
 namespace teleport {
 
+/// splitmix64's finalizer, applied after one golden-ratio step: the repo's
+/// one bit mixer for seeds, hash slots and order-independent digests.
+constexpr uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic xoshiro256** PRNG. Every workload generator in the repo is
 /// seeded explicitly so all benchmark inputs and results are reproducible
 /// bit-for-bit across runs and machines.
@@ -16,14 +25,9 @@ class Rng {
  public:
   /// Seeds the generator via splitmix64 expansion of `seed`.
   explicit Rng(uint64_t seed) {
-    uint64_t x = seed;
     for (auto& si : s_) {
-      // splitmix64 step.
-      x += 0x9e3779b97f4a7c15ULL;
-      uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      si = z ^ (z >> 31);
+      si = Mix64(seed);
+      seed += 0x9e3779b97f4a7c15ULL;
     }
   }
 

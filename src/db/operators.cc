@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/rng.h"
 
 namespace teleport::db {
 
@@ -16,13 +17,7 @@ uint64_t NextPow2(uint64_t v) {
   return p;
 }
 
-/// 64-bit finalizer (splitmix64); cheap and well-mixed.
-uint64_t HashKey(int64_t key) {
-  uint64_t z = static_cast<uint64_t>(key) + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+uint64_t HashKey(int64_t key) { return Mix64(static_cast<uint64_t>(key)); }
 
 /// Iterates candidate rows: calls fn(row) for each row in `cand`, or for
 /// every row in [0, rows) when cand is null. The candidate list itself is

@@ -62,13 +62,11 @@ Rng& FaultInjector::StreamFor(Link link, bool to_memory) {
                        (to_memory ? 1u : 0u);
   auto it = streams_.find(key);
   if (it == streams_.end()) {
-    // splitmix64 finalizer over (seed, key): stream seeds are decorrelated
-    // across links/directions yet a pure function of identity, so the map
-    // may grow in any order without perturbing any existing stream.
-    uint64_t z = seed_ + 0x9e3779b97f4a7c15ULL * (key + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    it = streams_.emplace(key, Rng(z ^ (z >> 31))).first;
+    // Mixed over (seed, key): stream seeds are decorrelated across
+    // links/directions yet a pure function of identity, so the map may grow
+    // in any order without perturbing any existing stream.
+    const uint64_t stream_seed = Mix64(seed_ + 0x9e3779b97f4a7c15ULL * key);
+    it = streams_.emplace(key, Rng(stream_seed)).first;
   }
   return it->second;
 }

@@ -2,13 +2,6 @@
 
 namespace teleport::oltp {
 
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 void PreloadTable(ddc::ExecutionContext& ctx, BTree& tree, uint64_t keyspace) {
   for (uint64_t key = 0; key < keyspace; ++key) {
     tree.Insert(ctx, key, Mix64(key),

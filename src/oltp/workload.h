@@ -67,9 +67,6 @@ struct YcsbResult {
 YcsbResult RunYcsbSession(ddc::ExecutionContext& ctx, TxnManager& mgr,
                           const YcsbConfig& cfg, int session);
 
-/// splitmix64 finalizer shared by the workload digests and key derivation.
-uint64_t Mix64(uint64_t x);
-
 }  // namespace teleport::oltp
 
 #endif  // TELEPORT_OLTP_WORKLOAD_H_

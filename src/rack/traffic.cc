@@ -10,26 +10,13 @@
 
 namespace teleport::rack {
 
-namespace {
-
-/// splitmix64 finalizer: the repo-standard bit mixer for derived seeds and
-/// order-independent digests.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 uint64_t RunKernel(ddc::ExecutionContext& c, WorkloadKind kind,
                    ddc::VAddr slice, uint64_t slice_bytes, int ops,
                    uint64_t kernel_seed) {
   const uint64_t words = slice_bytes / 8;
   TELEPORT_CHECK(words > 0);
   uint64_t digest = 0;
-  uint64_t x = Mix(kernel_seed);
+  uint64_t x = Mix64(kernel_seed);
   switch (kind) {
     case WorkloadKind::kDb: {
       // Selection + aggregation: a sequential 64-byte-stride scan from a
@@ -52,7 +39,7 @@ uint64_t RunKernel(ddc::ExecutionContext& c, WorkloadKind kind,
         const uint64_t off = (x % words) * 8;
         const uint64_t v = static_cast<uint64_t>(c.Load<int64_t>(slice + off));
         digest += v + off;
-        x = Mix(x ^ v);
+        x = Mix64(x ^ v);
         c.ChargeCpu(2);
       }
       break;
@@ -61,7 +48,7 @@ uint64_t RunKernel(ddc::ExecutionContext& c, WorkloadKind kind,
       // Map-shuffle: hashed read-modify-write scatter into the slice, the
       // random-access pattern of §5.3.
       for (int op = 0; op < ops; ++op) {
-        x = Mix(x);
+        x = Mix64(x);
         const uint64_t off = (x % words) * 8;
         const int64_t v = c.Load<int64_t>(slice + off);
         c.Store<int64_t>(slice + off,
@@ -78,17 +65,17 @@ uint64_t RunKernel(ddc::ExecutionContext& c, WorkloadKind kind,
       // record — a pointer chase that ends on one hot 8-byte write.
       const uint64_t fanout = std::max<uint64_t>(2, words / 64);
       for (int op = 0; op < ops; ++op) {
-        x = Mix(x);
+        x = Mix64(x);
         const uint64_t key = x % words;
         uint64_t cursor = 0;
         for (uint64_t span = words; span > 1; span /= fanout) {
           const uint64_t off = ((cursor + key % span) % words) * 8;
           const uint64_t v = static_cast<uint64_t>(c.Load<int64_t>(slice + off));
           digest += v + off;
-          cursor = Mix(cursor ^ (key % span)) % words;
+          cursor = Mix64(cursor ^ (key % span)) % words;
           c.ChargeCpu(2);
         }
-        const uint64_t roff = (Mix(key) % words) * 8;
+        const uint64_t roff = (Mix64(key) % words) * 8;
         const int64_t rv = c.Load<int64_t>(slice + roff);
         c.Store<int64_t>(slice + roff, rv + 1);
         digest += static_cast<uint64_t>(rv) + roff;
@@ -145,7 +132,7 @@ TrafficResult RunOpenLoop(ddc::MemorySystem& ms,
   // The open-loop schedule: monotone arrivals with seeded jittered gaps,
   // drawn up front in session order so the stream is independent of how
   // service unfolds.
-  Rng arrival_rng(Mix(cfg.seed) ^ 0x0a11ULL);
+  Rng arrival_rng(Mix64(cfg.seed) ^ 0x0a11ULL);
   std::vector<Nanos> arrivals(static_cast<size_t>(cfg.sessions), 0);
   Nanos at = 0;
   for (int i = 0; i < cfg.sessions; ++i) {
@@ -194,7 +181,7 @@ TrafficResult RunOpenLoop(ddc::MemorySystem& ms,
     const ddc::VAddr slice = slices[static_cast<size_t>(tenant)];
     const uint64_t slice_bytes = cfg.slice_pages * page;
     const uint64_t kernel_seed =
-        Mix(cfg.seed ^ (static_cast<uint64_t>(i) << 1));
+        Mix64(cfg.seed ^ (static_cast<uint64_t>(i) << 1));
     const Status st = runtime.Call(
         *ctx,
         [&](ddc::ExecutionContext& mem_ctx) {
@@ -205,7 +192,7 @@ TrafficResult RunOpenLoop(ddc::MemorySystem& ms,
         flags);
     if (!st.ok()) {
       ++r.failed;
-      digest = Mix(static_cast<uint64_t>(st.code()));
+      digest = Mix64(static_cast<uint64_t>(st.code()));
     }
     const Nanos end = ctx->now();
     inflight.push(end);
@@ -213,7 +200,7 @@ TrafficResult RunOpenLoop(ddc::MemorySystem& ms,
     ++r.completed;
     // Commutative fold: the digest set, not the completion order, defines
     // the checksum — bit-identical across schedules by construction.
-    r.checksum += Mix(digest ^ (static_cast<uint64_t>(i) * 0x9e37ULL));
+    r.checksum += Mix64(digest ^ (static_cast<uint64_t>(i) * 0x9e37ULL));
     r.scopes.Record(tenant, ctx->metrics().Diff(before), end - start);
   }
 

@@ -24,7 +24,6 @@ namespace teleport {
 namespace {
 
 using oltp::BTree;
-using oltp::Mix64;
 using oltp::RecordMeta;
 
 constexpr uint64_t kPage = 4096;

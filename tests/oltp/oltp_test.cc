@@ -25,7 +25,6 @@ namespace {
 using ddc::Pool;
 using ddc::ProtocolMutation;
 using oltp::BTree;
-using oltp::Mix64;
 using oltp::Txn;
 using oltp::TxnManager;
 
