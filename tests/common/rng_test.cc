@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -96,6 +97,90 @@ TEST(ZipfTest, LowerThetaIsLessSkewed) {
     if (strong.Sample(rng2) < 100) ++strong_head;
   }
   EXPECT_LT(mild_head, strong_head);
+}
+
+// ZipfGenerator's quantile formula as it was first written, with std::pow as
+// the only exponentiation: the definition Sample must reproduce exactly,
+// whichever way it evaluates the power.
+class PowFormulaZipf {
+ public:
+  PowFormulaZipf(uint64_t n, double theta)
+      : n_(n),
+        alpha_(1.0 / (1.0 - theta)),
+        zetan_(Zeta(n, theta)),
+        zeta2_(Zeta(2, theta)),
+        eta_((1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
+             (1.0 - zeta2_ / zetan_)) {}
+
+  uint64_t Sample(double u) const {
+    const double uz = u * zetan_;
+    if (uz < 1.0) return 0;
+    if (uz < zeta2_) return 1;
+    const uint64_t v = static_cast<uint64_t>(
+        static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
+    return v >= n_ ? n_ - 1 : v;
+  }
+
+ private:
+  static double Zeta(uint64_t n, double theta) {
+    double sum = 0;
+    for (uint64_t i = 1; i <= n; ++i) {
+      sum += 1.0 / std::pow(static_cast<double>(i), theta);
+    }
+    return sum;
+  }
+
+  uint64_t n_;
+  double alpha_, zetan_, zeta2_, eta_;
+};
+
+// Random u, plus the 32 grid points on either side of every rank boundary,
+// where a power evaluated any other way is most likely to floor to a
+// different rank. The grid is NextDouble's: u = j * 2^-53.
+TEST(ZipfTest, MatchesPowFormulaAtRankBoundaries) {
+  constexpr uint64_t kGridPoints = 1ULL << 53;
+  constexpr double kGridStep = 1.0 / static_cast<double>(kGridPoints);
+  struct Case {
+    uint64_t n;
+    double theta;
+  };
+  // theta 0.8 is the text generator's, 0.99 and 0.5 are YCSB's; 0.2 gives a
+  // non-integer exponent.
+  for (const Case& c : {Case{20'000, 0.8}, Case{256, 0.99}, Case{1'000, 0.5},
+                        Case{10'000, 0.2}}) {
+    const ZipfGenerator zipf(c.n, c.theta);
+    const PowFormulaZipf formula(c.n, c.theta);
+    uint64_t checked = 0, mismatches = 0;
+    auto check = [&](uint64_t j) {
+      const double u = static_cast<double>(j) * kGridStep;
+      ++checked;
+      if (zipf.Sample(u) != formula.Sample(u) && mismatches++ == 0) {
+        ADD_FAILURE() << "n " << c.n << " theta " << c.theta << ": u = " << j
+                      << " * 2^-53 samples " << zipf.Sample(u)
+                      << ", the formula gives " << formula.Sample(u);
+      }
+    };
+    Rng rng(41);
+    for (int i = 0; i < 1'000'000; ++i) check(rng.Next() >> 11);
+    for (uint64_t rank = 1; rank < c.n; ++rank) {
+      // The first grid point that samples `rank` or above; the last one
+      // samples n - 1.
+      uint64_t lo = 0, hi = kGridPoints - 1;
+      while (lo < hi) {
+        const uint64_t mid = lo + (hi - lo) / 2;
+        if (formula.Sample(static_cast<double>(mid) * kGridStep) >= rank) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      const uint64_t first = lo < 32 ? 0 : lo - 32;
+      const uint64_t last = lo + 32 < kGridPoints ? lo + 32 : kGridPoints - 1;
+      for (uint64_t j = first; j <= last; ++j) check(j);
+    }
+    EXPECT_EQ(mismatches, 0u) << "n " << c.n << " theta " << c.theta
+                              << ", of " << checked << " draws";
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Byte-identity locks on the three dataset generators: the FNV-1a-64 of
 // every byte a generator stages into a fresh address space, at the default
-// seeds. Every engine checksum and virtual time downstream is a function of
+// seeds and one past them (perfbench --seed n shifts every generator seed by
+// n). Every engine checksum and virtual time downstream is a function of
 // these bytes, so a host-side rewrite of a generator must reproduce them.
 
 #include <cstdint>
@@ -33,53 +34,73 @@ uint64_t StagedDigest(ddc::MemorySystem& ms) {
 
 TEST(GeneratorDigestTest, Graph) {
   struct Case {
-    uint64_t vertices, degree, digest;
+    uint64_t vertices, degree, seed;
+    int64_t max_weight;
+    uint64_t digest;
   };
-  for (const Case& c : {Case{50'000, 12, 0xb3f94cc046be2cd4ULL},
-                        Case{500, 4, 0x9ce16ea7df40f5f5ULL},
-                        Case{2, 1, 0xb48cd3c26c896143ULL}}) {
+  // max_weight 1 is the unweighted path, which draws no weight.
+  for (const Case& c : {Case{50'000, 12, 7, 100, 0xb3f94cc046be2cd4ULL},
+                        Case{50'000, 12, 8, 100, 0x38f4d9b421ec2190ULL},
+                        Case{50'000, 12, 7, 1, 0x8f8c63f9337abe7aULL},
+                        Case{500, 4, 7, 100, 0x9ce16ea7df40f5f5ULL},
+                        Case{2, 1, 7, 100, 0xb48cd3c26c896143ULL}}) {
     graph::GraphConfig gc;
     gc.vertices = c.vertices;
     gc.avg_degree = c.degree;
+    gc.seed = c.seed;
+    gc.max_weight = c.max_weight;
     ddc::MemorySystem ms(LocalConfig(), sim::CostParams::Default(),
                          graph::EstimateGraphBytes(gc) + 3 * 4096);
     graph::GenerateGraph(&ms, gc);
-    EXPECT_EQ(StagedDigest(ms), c.digest) << c.vertices << "x" << c.degree;
+    EXPECT_EQ(StagedDigest(ms), c.digest)
+        << c.vertices << "x" << c.degree << " seed " << c.seed << " w "
+        << c.max_weight;
   }
 }
 
 TEST(GeneratorDigestTest, Text) {
   struct Case {
-    uint64_t bytes, digest, words, lines;
+    uint64_t bytes, seed, digest, words, lines;
   };
-  // The 100-byte corpus ends in the tail-padding path.
-  for (const Case& c : {Case{4 << 20, 0x88e3645fe31dc3c3ULL, 949'820, 55'929},
-                        Case{64 << 10, 0xd20f7f4781b71793ULL, 14'857, 872},
-                        Case{100, 0x7d2c10c78e89b380ULL, 21, 1}}) {
+  // The 100-byte corpus ends in the tail-padding path. The last word of the
+  // (64 KiB + 3)-byte corpus starts 7 bytes before the end, too close for a
+  // whole 8-byte word slot; that of the (64 KiB + 5)-byte one starts 9 bytes
+  // before it.
+  for (const Case& c :
+       {Case{4 << 20, 17, 0x88e3645fe31dc3c3ULL, 949'820, 55'929},
+        Case{4 << 20, 18, 0x1054100795528518ULL, 950'433, 55'971},
+        Case{64 << 10, 17, 0xd20f7f4781b71793ULL, 14'857, 872},
+        Case{(64 << 10) + 3, 17, 0x505a2bdc16940aa9ULL, 14'858, 872},
+        Case{(64 << 10) + 5, 17, 0xd674a2e44cb31869ULL, 14'858, 872},
+        Case{100, 17, 0x7d2c10c78e89b380ULL, 21, 1}}) {
     mr::TextConfig tc;
     tc.bytes = c.bytes;
+    tc.seed = c.seed;
     ddc::MemorySystem ms(LocalConfig(), sim::CostParams::Default(),
                          c.bytes + 4096);
     const mr::TextCorpus corpus = mr::GenerateText(&ms, tc);
-    EXPECT_EQ(StagedDigest(ms), c.digest) << c.bytes;
-    EXPECT_EQ(corpus.words, c.words) << c.bytes;
-    EXPECT_EQ(corpus.lines, c.lines) << c.bytes;
+    EXPECT_EQ(StagedDigest(ms), c.digest) << c.bytes << " seed " << c.seed;
+    EXPECT_EQ(corpus.words, c.words) << c.bytes << " seed " << c.seed;
+    EXPECT_EQ(corpus.lines, c.lines) << c.bytes << " seed " << c.seed;
   }
 }
 
 TEST(GeneratorDigestTest, Tpch) {
   struct Case {
     double scale_factor;
-    uint64_t digest;
+    uint64_t seed, digest;
   };
-  for (const Case& c : {Case{6.0, 0xe14155ac3af05c43ULL},
-                        Case{0.05, 0x5c3aaeafa14096b1ULL}}) {
+  for (const Case& c : {Case{6.0, 2022, 0xe14155ac3af05c43ULL},
+                        Case{6.0, 2023, 0x3f9612e42ade2b22ULL},
+                        Case{0.05, 2022, 0x5c3aaeafa14096b1ULL}}) {
     db::TpchConfig cfg;
     cfg.scale_factor = c.scale_factor;
+    cfg.seed = c.seed;
     ddc::MemorySystem ms(LocalConfig(), sim::CostParams::Default(),
                          db::EstimateTpchBytes(cfg) * 2);
     db::GenerateTpch(&ms, cfg);
-    EXPECT_EQ(StagedDigest(ms), c.digest) << c.scale_factor;
+    EXPECT_EQ(StagedDigest(ms), c.digest)
+        << c.scale_factor << " seed " << c.seed;
   }
 }
 
