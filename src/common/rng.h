@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/logging.h"
@@ -45,12 +46,16 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound). bound must be > 0.
-  uint64_t Uniform(uint64_t bound) {
+  uint64_t Uniform(uint64_t bound) { return Scale(Next(), bound); }
+
+  /// Maps 64 random bits to [0, bound), as Uniform does with its draw: one
+  /// draw can thereby serve several bounds. bound must be > 0.
+  static uint64_t Scale(uint64_t bits, uint64_t bound) {
     TELEPORT_DCHECK(bound > 0);
     // Lemire's multiply-shift rejection-free approximation is fine here;
     // the tiny modulo bias is irrelevant for workload generation.
     return static_cast<uint64_t>(
-        (static_cast<__uint128_t>(Next()) * bound) >> 64);
+        (static_cast<__uint128_t>(bits) * bound) >> 64);
   }
 
   /// Uniform integer in [lo, hi] inclusive.
@@ -83,7 +88,9 @@ class Rng {
 /// Precomputes the harmonic normalization once; Sample() is O(1) via the
 /// rejection-inversion-free approximation of Gray et al. (the standard YCSB
 /// generator). theta must lie in (0, 1): at 1 the quantile transform's
-/// exponent is infinite and the skew inverts.
+/// exponent is infinite and the skew inverts. When that exponent is an
+/// integer to within rounding (theta 0.5, 0.8, 0.99, ...), Sample() raises to
+/// it by repeated squaring and returns exactly what std::pow would give.
 class ZipfGenerator {
  public:
   ZipfGenerator(uint64_t n, double theta);
@@ -97,9 +104,16 @@ class ZipfGenerator {
 
  private:
   static double Zeta(uint64_t n, double theta);
+  /// The rank n * x^alpha_ floors to, computed without std::pow when
+  /// alpha_ is an integer; nullopt when it is not, or when the result
+  /// could differ from std::pow's.
+  std::optional<uint64_t> FloorByIntegerPower(double x) const;
 
   uint64_t n_;
   double alpha_;
+  /// alpha_ rounded to the nearest integer when it lies within 8 ulps of
+  /// it, in [1, 1024], and n < 2^52; else 0 (Sample always calls std::pow).
+  uint32_t int_alpha_ = 0;
   double zetan_;
   /// Zeta(2, theta): the rank-1 threshold of u * zetan_.
   double zeta2_;

@@ -12,9 +12,14 @@ TextCorpus GenerateText(ddc::MemorySystem* ms, const TextConfig& config) {
   ZipfGenerator zipf(config.vocabulary, config.zipf_theta);
 
   // Spell the vocabulary once into a table of fixed-stride slots: word i is
-  // 'w' followed by the base-26 digits of i, least significant first.
+  // 'w' followed by the base-26 digits of i, least significant first. A
+  // slot is at least 8 bytes, so a word is emitted with one 8-byte store:
+  // the bytes past its end are overwritten by the separator and the next
+  // word, or by the tail padding.
   uint64_t stride = 2;
   for (uint64_t n = config.vocabulary - 1; n >= 26; n /= 26) ++stride;
+  constexpr uint64_t kSlot = 8;
+  if (stride < kSlot) stride = kSlot;
   std::vector<char> spelled(config.vocabulary * stride);
   std::vector<uint8_t> length(config.vocabulary);
   for (uint64_t id = 0; id < config.vocabulary; ++id) {
@@ -44,7 +49,12 @@ TextCorpus GenerateText(ddc::MemorySystem* ms, const TextConfig& config) {
       while (pos < config.bytes) out[pos++] = ' ';
       break;
     }
-    std::memcpy(out + pos, &spelled[id * stride], len);
+    const char* word = &spelled[id * stride];
+    if (stride == kSlot && pos + kSlot <= config.bytes) {
+      std::memcpy(out + pos, word, kSlot);
+    } else {
+      std::memcpy(out + pos, word, len);
+    }
     pos += len;
     ++corpus.words;
     ++words_on_line;
