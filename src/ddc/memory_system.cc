@@ -355,15 +355,14 @@ void MemorySystem::EvictPoolPage(ExecutionContext& ctx, PageId victim) {
   JournalTruncate(victim, ctx.now());
 }
 
-void MemorySystem::TraceProtocol(std::string_view name, PageId page,
-                                 Nanos at) {
-  if (tracer_ == nullptr) return;
+void MemorySystem::EmitProtocolInstant(std::string_view name, PageId page,
+                                       Nanos at) {
   tracer_->Instant("coherence", name, at, sim::kTrackCoherence,
                    "\"page\":" + std::to_string(page));
 }
 
-void MemorySystem::TraceCache(std::string_view name, PageId page, Nanos at) {
-  if (tracer_ == nullptr) return;
+void MemorySystem::EmitCacheInstant(std::string_view name, PageId page,
+                                    Nanos at) {
   tracer_->Instant("cache", name, at, sim::kTrackCompute,
                    "\"page\":" + std::to_string(page));
 }

@@ -540,9 +540,16 @@ class MemorySystem {
   void JournalTruncate(PageId page, Nanos at);
 
   /// Tracer instants for §4.1 protocol transitions and compute-cache
-  /// fill/evict/writeback; no-ops without an attached tracer.
-  void TraceProtocol(std::string_view name, PageId page, Nanos at);
-  void TraceCache(std::string_view name, PageId page, Nanos at);
+  /// fill/evict/writeback; no-ops without an attached tracer. The pointer
+  /// test is inline, so an untraced run makes no call.
+  void TraceProtocol(std::string_view name, PageId page, Nanos at) {
+    if (tracer_ != nullptr) EmitProtocolInstant(name, page, at);
+  }
+  void TraceCache(std::string_view name, PageId page, Nanos at) {
+    if (tracer_ != nullptr) EmitCacheInstant(name, page, at);
+  }
+  void EmitProtocolInstant(std::string_view name, PageId page, Nanos at);
+  void EmitCacheInstant(std::string_view name, PageId page, Nanos at);
 
   /// §4.1 coherence: compute side faults during a pushdown session.
   void CoherenceComputeFault(ExecutionContext& ctx, PageId page, bool write);

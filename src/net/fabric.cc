@@ -195,9 +195,8 @@ Nanos Fabric::WireSend(Channel& ch, bool to_memory, Link link, Nanos now,
   return ch.CommitAt(now, bytes, delivery);
 }
 
-void Fabric::TraceSend(bool to_memory, Link link, MessageKind kind,
-                       uint64_t bytes, Nanos at) {
-  if (tracer_ == nullptr) return;
+void Fabric::EmitSendInstant(bool to_memory, Link link, MessageKind kind,
+                             uint64_t bytes, Nanos at) {
   std::string args = "\"bytes\":" + std::to_string(bytes) + ",\"to\":\"";
   args += to_memory ? "memory" : "compute";
   args += '"';

@@ -500,10 +500,15 @@ class Fabric {
                          uint64_t bytes, MessageKind kind);
 
   /// Emits a per-kind instant event for a message entering the wire at
-  /// `at`; no-op without an attached tracer. The {0, 0} link keeps the
-  /// pre-rack event shape byte-for-byte; other links add a "link" field.
+  /// `at`; no-op without an attached tracer (tested inline, so an untraced
+  /// run makes no call). The {0, 0} link keeps the pre-rack event shape
+  /// byte-for-byte; other links add a "link" field.
   void TraceSend(bool to_memory, Link link, MessageKind kind, uint64_t bytes,
-                 Nanos at);
+                 Nanos at) {
+    if (tracer_ != nullptr) EmitSendInstant(to_memory, link, kind, bytes, at);
+  }
+  void EmitSendInstant(bool to_memory, Link link, MessageKind kind,
+                       uint64_t bytes, Nanos at);
 
   void CountDelivered(MessageKind kind, uint64_t bytes, int copies) {
     messages_by_kind_[static_cast<size_t>(kind)] +=
