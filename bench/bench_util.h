@@ -105,8 +105,8 @@ struct WorkloadTimes {
 std::vector<WorkloadTimes> RunSuite(const SuiteConfig& config);
 
 /// One machine-readable result row of a figure run. Records accumulate as
-/// JSON lines (one object per line) so CI can concatenate every figure's
-/// output into a single BENCH_PR4.json artifact.
+/// JSON lines (one object per line) so CI can collect the fig10/13/20
+/// output into one BENCH_PR5.json file.
 struct BenchRecord {
   std::string figure;    ///< e.g. "fig13"
   std::string workload;  ///< e.g. "Q6"
