@@ -337,20 +337,28 @@ BENCHMARK(BM_PushdownCallOverhead);
 
 // --- Dataset generators ----------------------------------------------------
 
-// Times `generate` alone, at fig13's dataset sizes: each iteration stages
-// into a fresh local-platform MemorySystem of `bytes`, built and destroyed
-// untimed, as every perfbench leg stages its own dataset.
+// Times `generate(ms, seed_offset)` alone, at fig13's dataset sizes: each
+// iteration stages into a fresh local-platform MemorySystem of `bytes`,
+// built and destroyed untimed, as every perfbench leg stages its own
+// dataset. A dying space hands its dataset on to the next one (DESIGN.md
+// §5), so with `adopt` every iteration but the first stages the same
+// dataset and times its adoption; without it iterations alternate between
+// two seeds, so each one draws its dataset in full.
 template <typename Generate>
-void TimeGenerator(benchmark::State& state, uint64_t bytes,
+void TimeGenerator(benchmark::State& state, uint64_t bytes, bool adopt,
                    Generate generate) {
   ddc::DdcConfig local;
   local.platform = ddc::Platform::kLocal;
+  // Counts on across the repeated runs google-benchmark makes of a kernel,
+  // so no two consecutive iterations stage the same seed.
+  static uint64_t iteration = 0;
   for (auto _ : state) {
     state.PauseTiming();
     auto ms = std::make_unique<ddc::MemorySystem>(
         local, sim::CostParams::Default(), bytes);
+    const uint64_t seed_offset = adopt ? 0 : iteration++ % 2;
     state.ResumeTiming();
-    generate(ms.get());
+    generate(ms.get(), seed_offset);
     benchmark::ClobberMemory();
     state.PauseTiming();
     ms.reset();
@@ -358,39 +366,58 @@ void TimeGenerator(benchmark::State& state, uint64_t bytes,
   }
 }
 
-void BM_GenerateText(benchmark::State& state) {
+void GenerateText(benchmark::State& state, bool adopt) {
   mr::TextConfig tc;
   tc.bytes = 4 << 20;
-  TimeGenerator(state, tc.bytes + kPage, [&tc](ddc::MemorySystem* ms) {
-    benchmark::DoNotOptimize(mr::GenerateText(ms, tc));
-  });
+  TimeGenerator(state, tc.bytes + kPage, adopt,
+                [tc](ddc::MemorySystem* ms, uint64_t seed_offset) mutable {
+                  tc.seed = mr::TextConfig{}.seed + seed_offset;
+                  benchmark::DoNotOptimize(mr::GenerateText(ms, tc));
+                });
   state.SetItemsProcessed(state.iterations() * tc.bytes);
   state.SetBytesProcessed(state.iterations() * tc.bytes);
 }
+void BM_GenerateText(benchmark::State& state) { GenerateText(state, false); }
+void BM_GenerateTextAdopted(benchmark::State& state) {
+  GenerateText(state, true);
+}
 BENCHMARK(BM_GenerateText)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GenerateTextAdopted)->Unit(benchmark::kMillisecond);
 
-void BM_GenerateGraph(benchmark::State& state) {
+void GenerateGraph(benchmark::State& state, bool adopt) {
   graph::GraphConfig gc;
   gc.vertices = 50'000;
   gc.avg_degree = 12;
-  TimeGenerator(state, graph::EstimateGraphBytes(gc) + 3 * kPage,
-                [&gc](ddc::MemorySystem* ms) {
+  TimeGenerator(state, graph::EstimateGraphBytes(gc) + 3 * kPage, adopt,
+                [gc](ddc::MemorySystem* ms, uint64_t seed_offset) mutable {
+                  gc.seed = graph::GraphConfig{}.seed + seed_offset;
                   benchmark::DoNotOptimize(graph::GenerateGraph(ms, gc));
                 });
   state.SetItemsProcessed(state.iterations() * gc.vertices * gc.avg_degree);
 }
+void BM_GenerateGraph(benchmark::State& state) { GenerateGraph(state, false); }
+void BM_GenerateGraphAdopted(benchmark::State& state) {
+  GenerateGraph(state, true);
+}
 BENCHMARK(BM_GenerateGraph)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GenerateGraphAdopted)->Unit(benchmark::kMillisecond);
 
-void BM_GenerateTpch(benchmark::State& state) {
+void GenerateTpch(benchmark::State& state, bool adopt) {
   db::TpchConfig cfg;
   cfg.scale_factor = 6.0;
-  TimeGenerator(state, db::EstimateTpchBytes(cfg) * 2,
-                [&cfg](ddc::MemorySystem* ms) {
+  TimeGenerator(state, db::EstimateTpchBytes(cfg) * 2, adopt,
+                [cfg](ddc::MemorySystem* ms, uint64_t seed_offset) mutable {
+                  cfg.seed = db::TpchConfig{}.seed + seed_offset;
                   benchmark::DoNotOptimize(db::GenerateTpch(ms, cfg));
                 });
   state.SetItemsProcessed(state.iterations() * cfg.LineitemRows());
 }
+void BM_GenerateTpch(benchmark::State& state) { GenerateTpch(state, false); }
+void BM_GenerateTpchAdopted(benchmark::State& state) {
+  GenerateTpch(state, true);
+}
 BENCHMARK(BM_GenerateTpch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GenerateTpchAdopted)->Unit(benchmark::kMillisecond);
 
 // The text generator's word draw: one uniform double and one Zipf sample.
 void BM_ZipfSample(benchmark::State& state) {

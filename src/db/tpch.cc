@@ -1,6 +1,7 @@
 #include "db/tpch.h"
 
 #include <array>
+#include <bit>
 #include <string>
 
 #include "common/rng.h"
@@ -24,6 +25,157 @@ constexpr std::array<std::string_view, 25> kNationNames = {
     "SAUDI ARABIA", "VIETNAM", "RUSSIA", "UNITED KINGDOM",
     "UNITED STATES"};
 
+ddc::DatasetKey TpchKey(const TpchConfig& c) {
+  static_assert(sizeof(TpchConfig) == 3 * sizeof(uint64_t),
+                "a TpchConfig field is missing from TpchKey");
+  return {"tpch",
+          {std::bit_cast<uint64_t>(c.scale_factor), c.lineitem_per_sf,
+           c.seed}};
+}
+
+/// Names every table and allocates its columns, in the order DrawTables
+/// fills them.
+void AddTables(ddc::MemorySystem* ms, TpchDatabase& db) {
+  const TpchConfig& c = db.config;
+  auto table = [](Table& t, const char* name, uint64_t rows) -> Table& {
+    t.name = name;
+    t.rows = rows;
+    return t;
+  };
+  Table& nation = table(db.nation, "nation", TpchConfig::kNationRows);
+  nation.AddColumn(ms, "n_nationkey");
+  nation.AddStringColumn(ms, "n_name", 16);
+  Table& supplier = table(db.supplier, "supplier", c.SupplierRows());
+  for (const char* col : {"s_suppkey", "s_nationkey"}) {
+    supplier.AddColumn(ms, col);
+  }
+  Table& part = table(db.part, "part", c.PartRows());
+  part.AddColumn(ms, "p_partkey");
+  part.AddStringColumn(ms, "p_name", 32);
+  Table& partsupp = table(db.partsupp, "partsupp", c.PartSuppRows());
+  for (const char* col : {"ps_partkey", "ps_suppkey", "ps_supplycost"}) {
+    partsupp.AddColumn(ms, col);
+  }
+  Table& customer = table(db.customer, "customer", c.CustomerRows());
+  for (const char* col : {"c_custkey", "c_mktsegment"}) {
+    customer.AddColumn(ms, col);
+  }
+  Table& orders = table(db.orders, "orders", c.OrdersRows());
+  for (const char* col :
+       {"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"}) {
+    orders.AddColumn(ms, col);
+  }
+  Table& lineitem = table(db.lineitem, "lineitem", c.LineitemRows());
+  for (const char* col :
+       {"l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
+        "l_extendedprice", "l_discount", "l_shipdate", "l_returnflag"}) {
+    lineitem.AddColumn(ms, col);
+  }
+}
+
+/// Draws every row into the columns AddTables allocated.
+void DrawTables(TpchDatabase& db) {
+  Rng rng(db.config.seed);
+
+  // --- nation -------------------------------------------------------------
+  int64_t* n_nationkey = db.nation.Col("n_nationkey").raw();
+  StringColumn& n_name = db.nation.StrCol("n_name");
+  for (uint64_t i = 0; i < db.nation.rows; ++i) {
+    n_nationkey[i] = static_cast<int64_t>(i);
+    n_name.RawSet(i, kNationNames[i]);
+  }
+
+  // --- supplier -------------------------------------------------------------
+  int64_t* s_suppkey = db.supplier.Col("s_suppkey").raw();
+  int64_t* s_nationkey = db.supplier.Col("s_nationkey").raw();
+  for (uint64_t i = 0; i < db.supplier.rows; ++i) {
+    s_suppkey[i] = static_cast<int64_t>(i);
+    s_nationkey[i] = static_cast<int64_t>(rng.Uniform(25));
+  }
+
+  // --- part -----------------------------------------------------------------
+  int64_t* p_partkey = db.part.Col("p_partkey").raw();
+  StringColumn& p_name = db.part.StrCol("p_name");
+  for (uint64_t i = 0; i < db.part.rows; ++i) {
+    p_partkey[i] = static_cast<int64_t>(i);
+    std::string name;
+    for (int w = 0; w < 3; ++w) {
+      if (w) name += ' ';
+      name += kNameWords[rng.Uniform(kNameWords.size())];
+    }
+    p_name.RawSet(i, name);
+  }
+
+  // --- partsupp ---------------------------------------------------------------
+  // Four suppliers per part, deterministic assignment like TPC-H's
+  // (partkey + i*step) % suppliers formula.
+  int64_t* ps_partkey = db.partsupp.Col("ps_partkey").raw();
+  int64_t* ps_suppkey = db.partsupp.Col("ps_suppkey").raw();
+  int64_t* ps_supplycost = db.partsupp.Col("ps_supplycost").raw();
+  const uint64_t suppliers = db.supplier.rows;
+  for (uint64_t i = 0; i < db.partsupp.rows; ++i) {
+    const uint64_t pk = i / 4;
+    const uint64_t which = i % 4;
+    ps_partkey[i] = static_cast<int64_t>(pk);
+    ps_suppkey[i] =
+        static_cast<int64_t>((pk + which * (suppliers / 4 + 1)) % suppliers);
+    ps_supplycost[i] = static_cast<int64_t>(100 + rng.Uniform(99900));
+  }
+
+  // --- customer ----------------------------------------------------------------
+  int64_t* c_custkey = db.customer.Col("c_custkey").raw();
+  int64_t* c_mktsegment = db.customer.Col("c_mktsegment").raw();
+  for (uint64_t i = 0; i < db.customer.rows; ++i) {
+    c_custkey[i] = static_cast<int64_t>(i);
+    c_mktsegment[i] = static_cast<int64_t>(rng.Uniform(kNumSegments));
+  }
+
+  // --- orders ---------------------------------------------------------------
+  int64_t* o_orderkey = db.orders.Col("o_orderkey").raw();
+  int64_t* o_custkey = db.orders.Col("o_custkey").raw();
+  int64_t* o_orderdate = db.orders.Col("o_orderdate").raw();
+  int64_t* o_shippriority = db.orders.Col("o_shippriority").raw();
+  for (uint64_t i = 0; i < db.orders.rows; ++i) {
+    o_orderkey[i] = static_cast<int64_t>(i);  // dense, sorted
+    o_custkey[i] = static_cast<int64_t>(rng.Uniform(db.customer.rows));
+    // Leave >= 151 days of headroom so every l_shipdate fits the domain.
+    o_orderdate[i] = static_cast<int64_t>(rng.Uniform(kDateDomainDays - 151));
+    o_shippriority[i] = 0;
+  }
+
+  // --- lineitem -------------------------------------------------------------
+  // Lines are generated order by order, so l_orderkey is sorted — the
+  // physical order TPC-H dbgen produces, required by the Q9 merge join.
+  int64_t* l_orderkey = db.lineitem.Col("l_orderkey").raw();
+  int64_t* l_partkey = db.lineitem.Col("l_partkey").raw();
+  int64_t* l_suppkey = db.lineitem.Col("l_suppkey").raw();
+  int64_t* l_quantity = db.lineitem.Col("l_quantity").raw();
+  int64_t* l_extendedprice = db.lineitem.Col("l_extendedprice").raw();
+  int64_t* l_discount = db.lineitem.Col("l_discount").raw();
+  int64_t* l_shipdate = db.lineitem.Col("l_shipdate").raw();
+  int64_t* l_returnflag = db.lineitem.Col("l_returnflag").raw();
+  const uint64_t lines = db.lineitem.rows;
+  const uint64_t orders = db.orders.rows;
+  for (uint64_t i = 0; i < lines; ++i) {
+    // Spread lines evenly over orders (average 4 per order), keeping the
+    // orderkey sequence non-decreasing.
+    const uint64_t ok = i * orders / lines;
+    l_orderkey[i] = static_cast<int64_t>(ok);
+    const uint64_t pk = rng.Uniform(db.part.rows);
+    l_partkey[i] = static_cast<int64_t>(pk);
+    // Pick one of the part's four suppliers so the partsupp join matches.
+    const uint64_t which = rng.Uniform(4);
+    l_suppkey[i] =
+        static_cast<int64_t>((pk + which * (suppliers / 4 + 1)) % suppliers);
+    l_quantity[i] = static_cast<int64_t>(1 + rng.Uniform(50));
+    l_extendedprice[i] = static_cast<int64_t>(90000 + rng.Uniform(9000000));
+    l_discount[i] = static_cast<int64_t>(rng.Uniform(11));
+    l_shipdate[i] =
+        o_orderdate[ok] + static_cast<int64_t>(1 + rng.Uniform(150));
+    l_returnflag[i] = static_cast<int64_t>(rng.Uniform(3));
+  }
+}
+
 }  // namespace
 
 uint64_t EstimateTpchBytes(const TpchConfig& c) {
@@ -43,121 +195,12 @@ std::unique_ptr<TpchDatabase> GenerateTpch(ddc::MemorySystem* ms,
                                            const TpchConfig& config) {
   auto db = std::make_unique<TpchDatabase>();
   db->config = config;
-  Rng rng(config.seed);
-
-  // --- nation -------------------------------------------------------------
-  db->nation.name = "nation";
-  db->nation.rows = TpchConfig::kNationRows;
-  auto& n_nationkey = db->nation.AddColumn(ms, "n_nationkey");
-  auto& n_name = db->nation.AddStringColumn(ms, "n_name", 16);
-  for (uint64_t i = 0; i < db->nation.rows; ++i) {
-    n_nationkey.raw()[i] = static_cast<int64_t>(i);
-    n_name.RawSet(i, kNationNames[i]);
+  const bool adopted = ms->space().AdoptDataset(TpchKey(config), nullptr);
+  AddTables(ms, *db);
+  if (!adopted) {
+    DrawTables(*db);
+    ms->space().TagDataset({});
   }
-
-  // --- supplier -------------------------------------------------------------
-  db->supplier.name = "supplier";
-  db->supplier.rows = config.SupplierRows();
-  auto& s_suppkey = db->supplier.AddColumn(ms, "s_suppkey");
-  auto& s_nationkey = db->supplier.AddColumn(ms, "s_nationkey");
-  for (uint64_t i = 0; i < db->supplier.rows; ++i) {
-    s_suppkey.raw()[i] = static_cast<int64_t>(i);
-    s_nationkey.raw()[i] = static_cast<int64_t>(rng.Uniform(25));
-  }
-
-  // --- part -----------------------------------------------------------------
-  db->part.name = "part";
-  db->part.rows = config.PartRows();
-  auto& p_partkey = db->part.AddColumn(ms, "p_partkey");
-  auto& p_name = db->part.AddStringColumn(ms, "p_name", 32);
-  for (uint64_t i = 0; i < db->part.rows; ++i) {
-    p_partkey.raw()[i] = static_cast<int64_t>(i);
-    std::string name;
-    for (int w = 0; w < 3; ++w) {
-      if (w) name += ' ';
-      name += kNameWords[rng.Uniform(kNameWords.size())];
-    }
-    p_name.RawSet(i, name);
-  }
-
-  // --- partsupp ---------------------------------------------------------------
-  // Four suppliers per part, deterministic assignment like TPC-H's
-  // (partkey + i*step) % suppliers formula.
-  db->partsupp.name = "partsupp";
-  db->partsupp.rows = config.PartSuppRows();
-  auto& ps_partkey = db->partsupp.AddColumn(ms, "ps_partkey");
-  auto& ps_suppkey = db->partsupp.AddColumn(ms, "ps_suppkey");
-  auto& ps_supplycost = db->partsupp.AddColumn(ms, "ps_supplycost");
-  const uint64_t suppliers = db->supplier.rows;
-  for (uint64_t i = 0; i < db->partsupp.rows; ++i) {
-    const uint64_t pk = i / 4;
-    const uint64_t which = i % 4;
-    ps_partkey.raw()[i] = static_cast<int64_t>(pk);
-    ps_suppkey.raw()[i] =
-        static_cast<int64_t>((pk + which * (suppliers / 4 + 1)) % suppliers);
-    ps_supplycost.raw()[i] = static_cast<int64_t>(100 + rng.Uniform(99900));
-  }
-
-  // --- customer ----------------------------------------------------------------
-  db->customer.name = "customer";
-  db->customer.rows = config.CustomerRows();
-  auto& c_custkey = db->customer.AddColumn(ms, "c_custkey");
-  auto& c_mktsegment = db->customer.AddColumn(ms, "c_mktsegment");
-  for (uint64_t i = 0; i < db->customer.rows; ++i) {
-    c_custkey.raw()[i] = static_cast<int64_t>(i);
-    c_mktsegment.raw()[i] = static_cast<int64_t>(rng.Uniform(kNumSegments));
-  }
-
-  // --- orders ---------------------------------------------------------------
-  db->orders.name = "orders";
-  db->orders.rows = config.OrdersRows();
-  auto& o_orderkey = db->orders.AddColumn(ms, "o_orderkey");
-  auto& o_custkey = db->orders.AddColumn(ms, "o_custkey");
-  auto& o_orderdate = db->orders.AddColumn(ms, "o_orderdate");
-  auto& o_shippriority = db->orders.AddColumn(ms, "o_shippriority");
-  for (uint64_t i = 0; i < db->orders.rows; ++i) {
-    o_orderkey.raw()[i] = static_cast<int64_t>(i);  // dense, sorted
-    o_custkey.raw()[i] = static_cast<int64_t>(rng.Uniform(db->customer.rows));
-    // Leave >= 151 days of headroom so every l_shipdate fits the domain.
-    o_orderdate.raw()[i] =
-        static_cast<int64_t>(rng.Uniform(kDateDomainDays - 151));
-    o_shippriority.raw()[i] = 0;
-  }
-
-  // --- lineitem -------------------------------------------------------------
-  // Lines are generated order by order, so l_orderkey is sorted — the
-  // physical order TPC-H dbgen produces, required by the Q9 merge join.
-  db->lineitem.name = "lineitem";
-  db->lineitem.rows = config.LineitemRows();
-  auto& l_orderkey = db->lineitem.AddColumn(ms, "l_orderkey");
-  auto& l_partkey = db->lineitem.AddColumn(ms, "l_partkey");
-  auto& l_suppkey = db->lineitem.AddColumn(ms, "l_suppkey");
-  auto& l_quantity = db->lineitem.AddColumn(ms, "l_quantity");
-  auto& l_extendedprice = db->lineitem.AddColumn(ms, "l_extendedprice");
-  auto& l_discount = db->lineitem.AddColumn(ms, "l_discount");
-  auto& l_shipdate = db->lineitem.AddColumn(ms, "l_shipdate");
-  auto& l_returnflag = db->lineitem.AddColumn(ms, "l_returnflag");
-  const uint64_t lines = db->lineitem.rows;
-  const uint64_t orders = db->orders.rows;
-  for (uint64_t i = 0; i < lines; ++i) {
-    // Spread lines evenly over orders (average 4 per order), keeping the
-    // orderkey sequence non-decreasing.
-    const uint64_t ok = i * orders / lines;
-    l_orderkey.raw()[i] = static_cast<int64_t>(ok);
-    const uint64_t pk = rng.Uniform(db->part.rows);
-    l_partkey.raw()[i] = static_cast<int64_t>(pk);
-    // Pick one of the part's four suppliers so the partsupp join matches.
-    const uint64_t which = rng.Uniform(4);
-    l_suppkey.raw()[i] =
-        static_cast<int64_t>((pk + which * (suppliers / 4 + 1)) % suppliers);
-    l_quantity.raw()[i] = static_cast<int64_t>(1 + rng.Uniform(50));
-    l_extendedprice.raw()[i] = static_cast<int64_t>(90000 + rng.Uniform(9000000));
-    l_discount.raw()[i] = static_cast<int64_t>(rng.Uniform(11));
-    l_shipdate.raw()[i] =
-        o_orderdate.raw()[ok] + static_cast<int64_t>(1 + rng.Uniform(150));
-    l_returnflag.raw()[i] = static_cast<int64_t>(rng.Uniform(3));
-  }
-
   ms->SeedData();
   return db;
 }

@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,16 @@ struct Region {
   uint64_t bytes = 0;
 };
 
+/// Names a generated dataset: its generator and every field of the
+/// generator's configuration, bit for bit. At one page size, equal keys
+/// stage equal bytes through equal Alloc calls.
+struct DatasetKey {
+  std::string generator;
+  std::vector<uint64_t> fields;
+
+  bool operator==(const DatasetKey&) const = default;
+};
+
 /// The simulated process address space.
 ///
 /// Data is stored in real host memory so workloads compute real answers; the
@@ -27,32 +39,59 @@ struct Region {
 /// regions (columns, graph state, shuffle buffers), so freeing individual
 /// allocations is unnecessary; the whole space is discarded with the
 /// MemorySystem at the end of a run.
+///
+/// Dataset hand-off (DESIGN.md §5): a space whose first bytes a generator
+/// staged and tagged does not free its backing when it dies. The backing
+/// becomes the process's one spare, and the next generator asked for the
+/// same dataset adopts it instead of drawing the data again.
 class AddressSpace {
  public:
   /// Creates a space able to hold up to `capacity_bytes` of allocations.
-  /// Host memory for the whole capacity is reserved here, so host pointers
-  /// stay valid for the life of the space; Alloc() zero-fills each region,
-  /// which is when its host pages become resident.
+  /// Host memory for the whole capacity is reserved by the first Alloc(),
+  /// so host pointers stay valid for the life of the space; Alloc()
+  /// zero-fills each region, which is when its host pages become resident.
   explicit AddressSpace(uint64_t capacity_bytes, uint64_t page_size);
+  /// Hands a tagged backing on as the spare; frees an untagged one.
+  ~AddressSpace();
 
   AddressSpace(const AddressSpace&) = delete;
   AddressSpace& operator=(const AddressSpace&) = delete;
 
   /// Allocates `bytes` (rounded up to whole pages); aborts if the capacity
-  /// is exhausted (simulated machines are sized by the caller).
+  /// is exhausted (simulated machines are sized by the caller). The region
+  /// is zero-filled, except where it lies in an adopted dataset.
   VAddr Alloc(uint64_t bytes, std::string name);
+
+  /// Asks this space, still empty, to adopt the spare backing. It does if
+  /// the spare holds the dataset `key` staged at this page size, its bytes
+  /// still hash to the value taken when it was tagged, and it is large
+  /// enough for this space. The generator then repeats its Alloc calls,
+  /// which keep the adopted bytes, and skips its draws; `counts` receives
+  /// what it returned besides the bytes. A spare that does not match is
+  /// freed before the generator allocates. Returns false on a non-empty
+  /// space.
+  bool AdoptDataset(const DatasetKey& key, std::vector<uint64_t>* counts);
+
+  /// Tags everything allocated so far as the dataset the generator asked
+  /// AdoptDataset() for, together with `counts`, and hashes it. Does
+  /// nothing unless that call found the space empty.
+  void TagDataset(std::vector<uint64_t> counts);
+
+  /// Bytes at the start of the space adopted from an earlier one (0 if
+  /// none).
+  uint64_t adopted_bytes() const { return adopted_bytes_; }
 
   /// Translates a virtual address to a host pointer. The range
   /// [addr, addr+len) must be inside an allocated region.
   void* HostPtr(VAddr addr, uint64_t len) {
     TELEPORT_DCHECK(addr + len <= used_bytes_);
     (void)len;
-    return mem_.data() + addr;
+    return mem_ + addr;
   }
   const void* HostPtr(VAddr addr, uint64_t len) const {
     TELEPORT_DCHECK(addr + len <= used_bytes_);
     (void)len;
-    return mem_.data() + addr;
+    return mem_ + addr;
   }
 
   uint64_t page_size() const { return page_size_; }
@@ -67,10 +106,22 @@ class AddressSpace {
   const std::vector<Region>& regions() const { return regions_; }
 
  private:
+  /// Host memory of a space, and the tag of the dataset at its start.
+  struct Backing;
+  /// The process's one spare backing, and the lock it changes hands under:
+  /// legs on different host threads create and destroy spaces
+  /// concurrently.
+  struct Spare;
+  static Spare& spare();
+
   uint64_t capacity_bytes_;
   uint64_t page_size_;
   uint64_t used_bytes_ = 0;
-  std::vector<std::byte> mem_;
+  uint64_t adopted_bytes_ = 0;
+  std::unique_ptr<Backing> backing_;  // allocated by the first Alloc
+  std::byte* mem_ = nullptr;          // backing_'s host memory
+  /// The dataset a generator is staging from address 0, until tagged.
+  std::optional<DatasetKey> staging_;
   std::vector<Region> regions_;
 };
 

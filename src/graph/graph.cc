@@ -18,23 +18,21 @@ uint32_t Select(bool pick, uint32_t a, uint32_t b) {
   return (a & mask) | (b & ~mask);
 }
 
-}  // namespace
-
-uint64_t EstimateGraphBytes(const GraphConfig& c) {
-  const uint64_t edges = c.vertices * c.avg_degree;
-  return (c.vertices + 1 + 2 * edges) * 8;
+ddc::DatasetKey GraphKey(const GraphConfig& c) {
+  static_assert(sizeof(GraphConfig) == 4 * sizeof(uint64_t),
+                "a GraphConfig field is missing from GraphKey");
+  return {"graph",
+          {c.vertices, c.avg_degree, c.seed,
+           static_cast<uint64_t>(c.max_weight)}};
 }
 
-Graph GenerateGraph(ddc::MemorySystem* ms, const GraphConfig& config) {
+/// Draws the edges into g's three staged regions, which Alloc left zero.
+void DrawGraph(ddc::AddressSpace& space, const Graph& g,
+             const GraphConfig& config) {
   Rng rng(config.seed);
-  const uint64_t v_count = config.vertices;
+  const uint64_t v_count = g.vertices;
   const uint64_t deg = config.avg_degree;
-  TELEPORT_CHECK(v_count >= 2 && deg >= 1);
-  // The draw-order scratch arrays hold 32-bit vertex ids and weights: half
-  // the bytes of int64 ones, and about a fifth less generator time.
-  TELEPORT_CHECK(v_count <= UINT32_MAX && config.max_weight <= INT32_MAX)
-      << "graph of " << v_count << " vertices, max_weight "
-      << config.max_weight;
+  const uint64_t edges = g.edges;
 
   // Host-side edge list (untimed; this is data generation).
   // Preferential attachment: vertex v links to `deg` targets, each either a
@@ -46,7 +44,6 @@ Graph GenerateGraph(ddc::MemorySystem* ms, const GraphConfig& config) {
   // container per vertex: tens of thousands of freed small blocks would
   // raise the heap's high-water mark for every later dataset in the
   // process.
-  const uint64_t edges = (v_count - 1) * deg;
   std::vector<uint32_t> sources(edges);
   std::vector<int32_t> weights(edges);
   // endpoint_pool[e + 1] is edge e's target.
@@ -83,17 +80,10 @@ Graph GenerateGraph(ddc::MemorySystem* ms, const GraphConfig& config) {
     }
   }
 
-  Graph g;
-  g.vertices = v_count;
-  g.edges = edges;
-  g.offsets = ms->space().Alloc((v_count + 1) * 8, "graph.offsets");
-  g.targets = ms->space().Alloc(edges * 8, "graph.targets");
-  g.weights = ms->space().Alloc(edges * 8, "graph.weights");
-
-  auto* off = static_cast<int64_t*>(
-      ms->space().HostPtr(g.offsets, (v_count + 1) * 8));
-  auto* tgt = static_cast<int64_t*>(ms->space().HostPtr(g.targets, edges * 8));
-  auto* wgt = static_cast<int64_t*>(ms->space().HostPtr(g.weights, edges * 8));
+  auto* off =
+      static_cast<int64_t*>(space.HostPtr(g.offsets, (v_count + 1) * 8));
+  auto* tgt = static_cast<int64_t*>(space.HostPtr(g.targets, edges * 8));
+  auto* wgt = static_cast<int64_t*>(space.HostPtr(g.weights, edges * 8));
   // CSR by a stable counting sort on the source: each vertex's out-edges
   // keep their draw order. Alloc zero-fills, so off[] starts at 0.
   for (uint64_t e = 0; e < edges; ++e) ++off[sources[e] + 1];
@@ -113,7 +103,36 @@ Graph GenerateGraph(ddc::MemorySystem* ms, const GraphConfig& config) {
     tgt[slot] = endpoint_pool[e + 1];
     wgt[slot] = weights[e];
   }
+}
 
+}  // namespace
+
+uint64_t EstimateGraphBytes(const GraphConfig& c) {
+  const uint64_t edges = c.vertices * c.avg_degree;
+  return (c.vertices + 1 + 2 * edges) * 8;
+}
+
+Graph GenerateGraph(ddc::MemorySystem* ms, const GraphConfig& config) {
+  const uint64_t v_count = config.vertices;
+  const uint64_t deg = config.avg_degree;
+  TELEPORT_CHECK(v_count >= 2 && deg >= 1);
+  // The draw-order scratch arrays hold 32-bit vertex ids and weights: half
+  // the bytes of int64 ones, and about a fifth less generator time.
+  TELEPORT_CHECK(v_count <= UINT32_MAX && config.max_weight <= INT32_MAX)
+      << "graph of " << v_count << " vertices, max_weight "
+      << config.max_weight;
+
+  const bool adopted = ms->space().AdoptDataset(GraphKey(config), nullptr);
+  Graph g;
+  g.vertices = v_count;
+  g.edges = (v_count - 1) * deg;
+  g.offsets = ms->space().Alloc((v_count + 1) * 8, "graph.offsets");
+  g.targets = ms->space().Alloc(g.edges * 8, "graph.targets");
+  g.weights = ms->space().Alloc(g.edges * 8, "graph.weights");
+  if (!adopted) {
+    DrawGraph(ms->space(), g, config);
+    ms->space().TagDataset({});
+  }
   ms->SeedData();
   return g;
 }

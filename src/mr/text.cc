@@ -1,5 +1,6 @@
 #include "mr/text.h"
 
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -7,7 +8,19 @@
 
 namespace teleport::mr {
 
-TextCorpus GenerateText(ddc::MemorySystem* ms, const TextConfig& config) {
+namespace {
+
+ddc::DatasetKey TextKey(const TextConfig& c) {
+  static_assert(sizeof(TextConfig) == 5 * sizeof(uint64_t),
+                "a TextConfig field is missing from TextKey");
+  return {"text",
+          {c.bytes, c.vocabulary, std::bit_cast<uint64_t>(c.zipf_theta),
+           c.words_per_line, c.seed}};
+}
+
+/// Draws the corpus into `out` (config.bytes long) and counts its words
+/// and lines into `corpus`.
+void DrawText(const TextConfig& config, char* out, TextCorpus& corpus) {
   Rng rng(config.seed);
   ZipfGenerator zipf(config.vocabulary, config.zipf_theta);
 
@@ -34,11 +47,6 @@ TextCorpus GenerateText(ddc::MemorySystem* ms, const TextConfig& config) {
     length[id] = len;
   }
 
-  TextCorpus corpus;
-  corpus.addr = ms->space().Alloc(config.bytes, "text.corpus");
-  corpus.bytes = config.bytes;
-  char* out = static_cast<char*>(ms->space().HostPtr(corpus.addr,
-                                                     config.bytes));
   uint64_t pos = 0;
   uint64_t words_on_line = 0;
   while (pos < config.bytes) {
@@ -66,6 +74,25 @@ TextCorpus GenerateText(ddc::MemorySystem* ms, const TextConfig& config) {
     } else {
       out[pos++] = ' ';
     }
+  }
+}
+
+}  // namespace
+
+TextCorpus GenerateText(ddc::MemorySystem* ms, const TextConfig& config) {
+  std::vector<uint64_t> counts;
+  const bool adopted = ms->space().AdoptDataset(TextKey(config), &counts);
+  TextCorpus corpus;
+  corpus.addr = ms->space().Alloc(config.bytes, "text.corpus");
+  corpus.bytes = config.bytes;
+  if (adopted) {
+    corpus.words = counts[0];
+    corpus.lines = counts[1];
+  } else {
+    DrawText(config,
+             static_cast<char*>(ms->space().HostPtr(corpus.addr, config.bytes)),
+             corpus);
+    ms->space().TagDataset({corpus.words, corpus.lines});
   }
   ms->SeedData();
   return corpus;

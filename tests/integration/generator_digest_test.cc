@@ -3,8 +3,16 @@
 // seeds and one past them (perfbench --seed n shifts every generator seed by
 // n). Every engine checksum and virtual time downstream is a function of
 // these bytes, so a host-side rewrite of a generator must reproduce them.
+//
+// The same locks hold when a deployment adopts the dataset an earlier one
+// staged (DESIGN.md §5), and when a tampered or mismatched spare makes it
+// generate again.
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -101,6 +109,113 @@ TEST(GeneratorDigestTest, Tpch) {
     db::GenerateTpch(&ms, cfg);
     EXPECT_EQ(StagedDigest(ms), c.digest)
         << c.scale_factor << " seed " << c.seed;
+  }
+}
+
+// --- Dataset hand-off -------------------------------------------------------
+
+/// One small locked case per generator. `stage` generates it into `ms` and
+/// checks what the generator returned besides the bytes.
+struct Staging {
+  const char* name;
+  uint64_t capacity;
+  uint64_t digest;
+  std::function<void(ddc::MemorySystem&)> stage;
+};
+
+std::vector<Staging> SmallStagings() {
+  graph::GraphConfig gc;
+  gc.vertices = 500;
+  gc.avg_degree = 4;
+  mr::TextConfig tc;
+  tc.bytes = 64 << 10;
+  db::TpchConfig dc;
+  dc.scale_factor = 0.05;
+  return {
+      {"graph", graph::EstimateGraphBytes(gc) + 3 * 4096,
+       0x9ce16ea7df40f5f5ULL,
+       [gc](ddc::MemorySystem& ms) {
+         const graph::Graph g = graph::GenerateGraph(&ms, gc);
+         EXPECT_EQ(g.edges, 499u * 4);
+       }},
+      {"text", tc.bytes + 4096, 0xd20f7f4781b71793ULL,
+       [tc](ddc::MemorySystem& ms) {
+         const mr::TextCorpus corpus = mr::GenerateText(&ms, tc);
+         EXPECT_EQ(corpus.words, 14'857u);
+         EXPECT_EQ(corpus.lines, 872u);
+       }},
+      {"tpch", db::EstimateTpchBytes(dc) * 2, 0x5c3aaeafa14096b1ULL,
+       [dc](ddc::MemorySystem& ms) {
+         const auto database = db::GenerateTpch(&ms, dc);
+         EXPECT_EQ(database->lineitem.rows, dc.LineitemRows());
+       }},
+  };
+}
+
+TEST(GeneratorDigestTest, SecondDeploymentAdoptsTheFirstsDataset) {
+  constexpr uint64_t kExtra = 3 * 4096;
+  for (const Staging& s : SmallStagings()) {
+    {
+      // This one may adopt what an earlier case left; either way it hands
+      // its dataset on when it dies. What it allocates past the dataset
+      // goes with it.
+      ddc::MemorySystem ms(LocalConfig(), sim::CostParams::Default(),
+                           s.capacity + kExtra);
+      s.stage(ms);
+      EXPECT_EQ(StagedDigest(ms), s.digest) << s.name;
+      const ddc::VAddr extra = ms.space().Alloc(kExtra, "extra");
+      std::memset(ms.space().HostPtr(extra, kExtra), 0xab, kExtra);
+    }
+    ddc::MemorySystem ms(LocalConfig(), sim::CostParams::Default(),
+                         s.capacity + kExtra);
+    s.stage(ms);
+    EXPECT_GT(ms.space().adopted_bytes(), 0u) << s.name;
+    EXPECT_EQ(ms.space().adopted_bytes(), ms.space().used_bytes()) << s.name;
+    EXPECT_EQ(StagedDigest(ms), s.digest) << s.name;
+    // Regions past the adopted dataset are zero-filled as before.
+    const ddc::VAddr extra = ms.space().Alloc(kExtra, "extra");
+    const auto* b =
+        static_cast<const unsigned char*>(ms.space().HostPtr(extra, kExtra));
+    EXPECT_EQ(std::count(b, b + kExtra, 0), static_cast<long>(kExtra))
+        << s.name;
+  }
+}
+
+TEST(GeneratorDigestTest, TamperedDatasetIsGeneratedAgain) {
+  for (const Staging& s : SmallStagings()) {
+    {
+      ddc::MemorySystem ms(LocalConfig(), sim::CostParams::Default(),
+                           s.capacity);
+      s.stage(ms);
+      // One byte, stored through the simulator after staging.
+      auto ctx = ms.CreateContext(ddc::Pool::kCompute);
+      const ddc::VAddr addr = ms.space().used_bytes() / 2;
+      ctx->Store<uint8_t>(addr, ~ctx->Load<uint8_t>(addr));
+      ASSERT_NE(StagedDigest(ms), s.digest) << s.name;
+    }
+    ddc::MemorySystem ms(LocalConfig(), sim::CostParams::Default(),
+                         s.capacity);
+    s.stage(ms);
+    EXPECT_EQ(ms.space().adopted_bytes(), 0u) << s.name;
+    EXPECT_EQ(StagedDigest(ms), s.digest) << s.name;
+  }
+}
+
+TEST(GeneratorDigestTest, OtherPageSizeDoesNotAdopt) {
+  sim::CostParams large = sim::CostParams::Default();
+  large.page_size = 2 * large.page_size;
+  for (const Staging& s : SmallStagings()) {
+    // The same capacity at both page sizes, so only the page size differs.
+    const uint64_t capacity =
+        (s.capacity + large.page_size - 1) / large.page_size * large.page_size;
+    {
+      ddc::MemorySystem ms(LocalConfig(), sim::CostParams::Default(),
+                           capacity);
+      s.stage(ms);
+    }
+    ddc::MemorySystem ms(LocalConfig(), large, capacity);
+    s.stage(ms);
+    EXPECT_EQ(ms.space().adopted_bytes(), 0u) << s.name;
   }
 }
 

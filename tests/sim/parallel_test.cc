@@ -113,6 +113,43 @@ TEST(LegRunnerTest, HandlesEmptyAndSingleJob) {
   EXPECT_EQ(hits, 1);
 }
 
+// --- Dataset hand-off across legs -------------------------------------------
+
+/// Eight legs each stage the same graph into their own MemorySystem and
+/// return the FNV-1a-64 of the staged bytes. Their address spaces hand the
+/// dataset to one process-wide spare as they die and adopt it as they
+/// stage, on as many host threads as the runner has.
+std::vector<uint64_t> StageGraphFleet(int threads) {
+  graph::GraphConfig gc;
+  gc.vertices = 2'000;
+  gc.avg_degree = 8;
+  ddc::DdcConfig local;
+  local.platform = ddc::Platform::kLocal;
+  std::vector<uint64_t> digest(8, 0);
+  std::vector<std::function<void()>> jobs;
+  for (size_t i = 0; i < digest.size(); ++i) {
+    jobs.push_back([&, i] {
+      ddc::MemorySystem ms(local, CostParams::Default(),
+                           graph::EstimateGraphBytes(gc) + 3 * 4096);
+      graph::GenerateGraph(&ms, gc);
+      const uint64_t n = ms.space().used_bytes();
+      const auto* b =
+          static_cast<const unsigned char*>(ms.space().HostPtr(0, n));
+      uint64_t h = 0xcbf29ce484222325ULL;
+      for (uint64_t k = 0; k < n; ++k) h = (h ^ b[k]) * 0x100000001b3ULL;
+      digest[i] = h;
+    });
+  }
+  LegRunner(threads).Run(jobs);
+  return digest;
+}
+
+TEST(LegRunnerTest, LegsStagingOneDatasetStageEqualBytes) {
+  const std::vector<uint64_t> serial = StageGraphFleet(1);
+  for (const uint64_t d : serial) EXPECT_EQ(d, serial[0]);
+  EXPECT_EQ(StageGraphFleet(8), serial);
+}
+
 // --- RunLegs JSONL ordering --------------------------------------------------
 
 std::string EmitFleetJson(int threads) {
