@@ -51,22 +51,32 @@ int main() {
   double sum_ddc = 0, sum_tele = 0, sum_spark = 0, sum_vertica = 0;
   bool ok = true;
   for (const Case& c : cases) {
-    auto local = bench::MakeDb(ddc::Platform::kLocal, kSf, deploy);
-    const db::QueryResult r_local = c.fn(*local.ctx, *local.database, {});
-    auto base = bench::MakeDb(ddc::Platform::kBaseDdc, kSf, deploy);
-    const db::QueryResult r_ddc = c.fn(*base.ctx, *base.database, {});
-    auto tele = bench::MakeDb(ddc::Platform::kBaseDdc, kSf, deploy);
-    db::QueryOptions opts;
-    opts.runtime = tele.runtime.get();
-    opts.push_ops = db::DefaultTeleportOps(c.query);
-    const db::QueryResult r_tele = c.fn(*tele.ctx, *tele.database, opts);
+    // Each deployment dies before the next one stages, so the next one
+    // adopts its dataset (DESIGN.md §5).
+    uint64_t bytes_scanned = 0;
+    const db::QueryResult r_local = [&] {
+      auto local = bench::MakeDb(ddc::Platform::kLocal, kSf, deploy);
+      bytes_scanned = local.database->TotalBytes();
+      return c.fn(*local.ctx, *local.database, {});
+    }();
+    const db::QueryResult r_ddc = [&] {
+      auto base = bench::MakeDb(ddc::Platform::kBaseDdc, kSf, deploy);
+      return c.fn(*base.ctx, *base.database, {});
+    }();
+    const db::QueryResult r_tele = [&] {
+      auto tele = bench::MakeDb(ddc::Platform::kBaseDdc, kSf, deploy);
+      db::QueryOptions opts;
+      opts.runtime = tele.runtime.get();
+      opts.push_ops = db::DefaultTeleportOps(c.query);
+      return c.fn(*tele.ctx, *tele.database, opts);
+    }();
     ok = ok && r_local.checksum == r_ddc.checksum &&
          r_local.checksum == r_tele.checksum;
 
     // Distributed reference models fed by the measured local profile.
     dist::WorkloadProfile w;
     w.local_time_ns = r_local.total_ns;
-    w.bytes_scanned = local.database->TotalBytes();
+    w.bytes_scanned = bytes_scanned;
     w.bytes_shuffled = ShuffleBytes(r_local);
     w.num_stages = static_cast<int>(r_local.ops.size()) / 2;
     // The paper's queries run tens of seconds; our scaled runs complete in

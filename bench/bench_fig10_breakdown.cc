@@ -29,14 +29,18 @@ int main() {
 
   // --- Q9 in the columnar DBMS ------------------------------------------
   {
-    auto local = bench::MakeDb(ddc::Platform::kLocal, 2.0);
-    bench::WallTimer wall;
-    const db::QueryResult rl = db::RunQ9(*local.ctx, *local.database, {});
-    const Nanos local_wall = wall.ElapsedNs();
+    db::QueryResult rl;
+    Nanos local_wall = 0;
+    {  // dies before the DDC deployment stages, which adopts its dataset
+      auto local = bench::MakeDb(ddc::Platform::kLocal, 2.0);
+      bench::WallTimer wall;
+      rl = db::RunQ9(*local.ctx, *local.database, {});
+      local_wall = wall.ElapsedNs();
+    }
     auto base = bench::MakeDb(ddc::Platform::kBaseDdc, 2.0);
     sim::Tracer tracer;
     base.ms->set_tracer(&tracer);
-    wall.Reset();
+    bench::WallTimer wall;
     const db::QueryResult rd = db::RunQ9(*base.ctx, *base.database, {});
     const Nanos ddc_wall = wall.ElapsedNs();
     ok = ok && rl.checksum == rd.checksum;
@@ -66,12 +70,16 @@ int main() {
 
   // --- SSSP in the GAS engine ---------------------------------------------
   {
-    auto local = bench::MakeGraph(ddc::Platform::kLocal, 50'000, 12);
-    bench::WallTimer wall;
-    const graph::GasResult rl = RunSssp(*local.ctx, local.graph, {});
-    const Nanos local_wall = wall.ElapsedNs();
+    graph::GasResult rl;
+    Nanos local_wall = 0;
+    {  // dies before the DDC deployment stages, which adopts its dataset
+      auto local = bench::MakeGraph(ddc::Platform::kLocal, 50'000, 12);
+      bench::WallTimer wall;
+      rl = RunSssp(*local.ctx, local.graph, {});
+      local_wall = wall.ElapsedNs();
+    }
     auto base = bench::MakeGraph(ddc::Platform::kBaseDdc, 50'000, 12);
-    wall.Reset();
+    bench::WallTimer wall;
     const graph::GasResult rd = RunSssp(*base.ctx, base.graph, {});
     const Nanos ddc_wall = wall.ElapsedNs();
     ok = ok && rl.checksum == rd.checksum;
@@ -95,12 +103,16 @@ int main() {
 
   // --- WordCount in the MapReduce engine -----------------------------------
   {
-    auto local = bench::MakeMr(ddc::Platform::kLocal, 4 << 20);
-    bench::WallTimer wall;
-    const mr::MrResult rl = RunWordCount(*local.ctx, local.corpus, {});
-    const Nanos local_wall = wall.ElapsedNs();
+    mr::MrResult rl;
+    Nanos local_wall = 0;
+    {  // dies before the DDC deployment stages, which adopts its dataset
+      auto local = bench::MakeMr(ddc::Platform::kLocal, 4 << 20);
+      bench::WallTimer wall;
+      rl = RunWordCount(*local.ctx, local.corpus, {});
+      local_wall = wall.ElapsedNs();
+    }
     auto base = bench::MakeMr(ddc::Platform::kBaseDdc, 4 << 20);
-    wall.Reset();
+    bench::WallTimer wall;
     const mr::MrResult rd = RunWordCount(*base.ctx, base.corpus, {});
     const Nanos ddc_wall = wall.ElapsedNs();
     ok = ok && rl.checksum == rd.checksum;

@@ -41,15 +41,23 @@ int main() {
               "paper");
   bool ok = true;
   for (const Case& c : cases) {
-    auto ssd = bench::MakeDb(ddc::Platform::kLinuxSsd, kSf, deploy);
-    const db::QueryResult r_ssd = c.fn(*ssd.ctx, *ssd.database, {});
-    auto base = bench::MakeDb(ddc::Platform::kBaseDdc, kSf, deploy);
-    const db::QueryResult r_ddc = c.fn(*base.ctx, *base.database, {});
-    auto tele = bench::MakeDb(ddc::Platform::kBaseDdc, kSf, deploy);
-    db::QueryOptions opts;
-    opts.runtime = tele.runtime.get();
-    opts.push_ops = db::DefaultTeleportOps(c.query);
-    const db::QueryResult r_tele = c.fn(*tele.ctx, *tele.database, opts);
+    // Each deployment dies before the next one stages, so the next one
+    // adopts its dataset (DESIGN.md §5).
+    const db::QueryResult r_ssd = [&] {
+      auto ssd = bench::MakeDb(ddc::Platform::kLinuxSsd, kSf, deploy);
+      return c.fn(*ssd.ctx, *ssd.database, {});
+    }();
+    const db::QueryResult r_ddc = [&] {
+      auto base = bench::MakeDb(ddc::Platform::kBaseDdc, kSf, deploy);
+      return c.fn(*base.ctx, *base.database, {});
+    }();
+    const db::QueryResult r_tele = [&] {
+      auto tele = bench::MakeDb(ddc::Platform::kBaseDdc, kSf, deploy);
+      db::QueryOptions opts;
+      opts.runtime = tele.runtime.get();
+      opts.push_ops = db::DefaultTeleportOps(c.query);
+      return c.fn(*tele.ctx, *tele.database, opts);
+    }();
 
     ok = ok && r_ssd.checksum == r_ddc.checksum &&
          r_ssd.checksum == r_tele.checksum;

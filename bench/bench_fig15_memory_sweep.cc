@@ -31,29 +31,31 @@ int main() {
     const uint64_t mem = static_cast<uint64_t>(
         f * static_cast<double>(ws));
 
+    // Each deployment dies before the next one stages, so the next one
+    // adopts its dataset (DESIGN.md §5).
     // Linux: local DRAM of this size, spilling to SSD.
-    bench::DeployOptions ssd_opts;
-    ssd_opts.cache_fraction = 1.0;  // overridden below via pool override
-    auto ssd = bench::MakeDb(ddc::Platform::kLinuxSsd, kSf,
-                             [&] {
-                               bench::DeployOptions o;
-                               o.cache_fraction =
-                                   f;  // local DRAM = swept size
-                               return o;
-                             }());
-    const db::QueryResult r_ssd = db::RunQ9(*ssd.ctx, *ssd.database, {});
+    const db::QueryResult r_ssd = [&] {
+      bench::DeployOptions o;
+      o.cache_fraction = f;  // local DRAM = swept size
+      auto ssd = bench::MakeDb(ddc::Platform::kLinuxSsd, kSf, o);
+      return db::RunQ9(*ssd.ctx, *ssd.database, {});
+    }();
 
     // DDC platforms: fixed small compute cache (2%), pool = swept size.
     bench::DeployOptions ddc_opts;
     ddc_opts.cache_fraction = 0.02;
     ddc_opts.pool_bytes_override = mem;
-    auto base = bench::MakeDb(ddc::Platform::kBaseDdc, kSf, ddc_opts);
-    const db::QueryResult r_ddc = db::RunQ9(*base.ctx, *base.database, {});
-    auto tele = bench::MakeDb(ddc::Platform::kBaseDdc, kSf, ddc_opts);
-    db::QueryOptions topts;
-    topts.runtime = tele.runtime.get();
-    topts.push_ops = db::DefaultTeleportOps("q9");
-    const db::QueryResult r_tele = db::RunQ9(*tele.ctx, *tele.database, topts);
+    const db::QueryResult r_ddc = [&] {
+      auto base = bench::MakeDb(ddc::Platform::kBaseDdc, kSf, ddc_opts);
+      return db::RunQ9(*base.ctx, *base.database, {});
+    }();
+    const db::QueryResult r_tele = [&] {
+      auto tele = bench::MakeDb(ddc::Platform::kBaseDdc, kSf, ddc_opts);
+      db::QueryOptions topts;
+      topts.runtime = tele.runtime.get();
+      topts.push_ops = db::DefaultTeleportOps("q9");
+      return db::RunQ9(*tele.ctx, *tele.database, topts);
+    }();
 
     linux_times.push_back(r_ssd.total_ns);
     ddc_times.push_back(r_ddc.total_ns);

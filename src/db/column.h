@@ -50,7 +50,8 @@ class Column {
     cur.Store<int64_t>(addr_ + row * sizeof(int64_t), v);
   }
 
-  /// Untimed host pointer for data generation.
+  /// Untimed host pointer for data generation. Once the generator has
+  /// tagged its dataset, a write through it faults (DESIGN.md §5).
   int64_t* raw() {
     return static_cast<int64_t*>(ms_->space().HostPtr(addr_, bytes()));
   }

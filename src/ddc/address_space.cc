@@ -1,27 +1,64 @@
 #include "ddc/address_space.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <utility>
 
-#include "common/rng.h"
-
 namespace teleport::ddc {
 
-struct AddressSpace::Backing {
-  explicit Backing(uint64_t bytes)
-      : mem(new std::byte[bytes]), capacity(bytes) {}
+namespace {
 
-  std::unique_ptr<std::byte[]> mem;  // uninitialized until Alloc fills it
+uint64_t HostPageSize() {
+  static const uint64_t size = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+  return size;
+}
+
+/// The first host page boundary at or after `p`.
+std::byte* HostPageAlign(std::byte* p) {
+  const uint64_t page = HostPageSize();
+  return p + (page - reinterpret_cast<uintptr_t>(p) % page) % page;
+}
+
+}  // namespace
+
+struct AddressSpace::Backing {
+  // One host page more than the capacity, so that the space can start on a
+  // host page: protection works on whole pages. An aligned allocation asks
+  // the heap for a further page of padding, so a freed backing no longer
+  // fits the next one of the same capacity; with perfbench's malloc
+  // settings (freed memory stays in the process) that doubled fig13's peak
+  // RSS.
+  explicit Backing(uint64_t bytes)
+      : block(new std::byte[bytes + HostPageSize()]),
+        mem(HostPageAlign(block.get())),
+        capacity(bytes) {}
+  /// Unprotects a tagged backing before it is freed: the allocator writes
+  /// into the memory it frees.
+  ~Backing() {
+    if (tagged) Unprotect();
+  }
+  Backing(const Backing&) = delete;
+  Backing& operator=(const Backing&) = delete;
+
+  void Unprotect() {
+    TELEPORT_CHECK(mprotect(mem, staged_bytes, PROT_READ | PROT_WRITE) == 0)
+        << "cannot unprotect a staged dataset";
+  }
+
+  std::unique_ptr<std::byte[]> block;
+  std::byte* mem;  // host-page aligned, uninitialized until Alloc fills it
   uint64_t capacity;
-  // The tag, set by TagDataset(): the dataset at [0, staged_bytes).
+  // The tag, set by TagDataset(): the dataset at [0, staged_bytes), whose
+  // host pages are read-only exactly while the tag is set.
   bool tagged = false;
   DatasetKey key;
   std::vector<uint64_t> counts;
   uint64_t page_size = 0;
   uint64_t staged_bytes = 0;
-  uint64_t hash = 0;
 };
 
 struct AddressSpace::Spare {
@@ -35,35 +72,6 @@ AddressSpace::Spare& AddressSpace::spare() {
   static Spare* const instance = new Spare;
   return *instance;
 }
-
-namespace {
-
-/// A 64-bit hash of `n` bytes, close to memory speed: four independent
-/// lanes, each folding in every fourth 8-byte word by an xor, an odd
-/// multiply and an xorshift. Each step is a bijection of its lane, so a
-/// change confined to one word always changes the hash.
-uint64_t HashBytes(const std::byte* p, uint64_t n) {
-  constexpr uint64_t kMul = 0x9fb21c651e98df25ULL;
-  uint64_t lane[4] = {1, 2, 3, 4};
-  uint64_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    for (int k = 0; k < 4; ++k) {
-      uint64_t w = 0;
-      std::memcpy(&w, p + i + 8 * k, 8);
-      lane[k] = (lane[k] ^ w) * kMul;
-      lane[k] ^= lane[k] >> 32;
-    }
-  }
-  for (; i < n; ++i) {
-    lane[0] = (lane[0] ^ static_cast<uint64_t>(p[i])) * kMul;
-    lane[0] ^= lane[0] >> 32;
-  }
-  uint64_t h = n;
-  for (const uint64_t l : lane) h = Mix64(h ^ l);
-  return h;
-}
-
-}  // namespace
 
 std::string_view PlatformToString(Platform p) {
   switch (p) {
@@ -116,7 +124,7 @@ VAddr AddressSpace::Alloc(uint64_t bytes, std::string name) {
   // the space.
   if (backing_ == nullptr) {
     backing_ = std::make_unique<Backing>(capacity_bytes_);
-    mem_ = backing_->mem.get();
+    mem_ = backing_->mem;
   }
   const VAddr start = used_bytes_;
   used_bytes_ += rounded;
@@ -141,28 +149,37 @@ bool AddressSpace::AdoptDataset(const DatasetKey& key,
     taken = std::move(spare().backing);
   }
   if (taken == nullptr || taken->key != key ||
-      taken->page_size != page_size_ || taken->capacity < capacity_bytes_ ||
-      HashBytes(taken->mem.get(), taken->staged_bytes) != taken->hash) {
+      taken->page_size != page_size_ || taken->capacity < capacity_bytes_) {
     staging_ = key;
     return false;  // a spare that does not match is freed here
   }
   if (counts != nullptr) *counts = taken->counts;
-  adopted_bytes_ = taken->staged_bytes;
+  adopted_bytes_ = protected_bytes_ = taken->staged_bytes;
   backing_ = std::move(taken);
-  mem_ = backing_->mem.get();
+  mem_ = backing_->mem;
   return true;
 }
 
 void AddressSpace::TagDataset(std::vector<uint64_t> counts) {
-  if (!staging_ || backing_ == nullptr) return;
+  std::optional<DatasetKey> key = std::exchange(staging_, std::nullopt);
+  // Only whole host pages can be protected, and a dataset is never handed
+  // on writable.
+  if (!key || backing_ == nullptr || page_size_ % HostPageSize() != 0 ||
+      mprotect(mem_, used_bytes_, PROT_READ) != 0) {
+    return;
+  }
   Backing& b = *backing_;
   b.tagged = true;
-  b.key = std::move(*staging_);
-  staging_.reset();
+  b.key = std::move(*key);
   b.counts = std::move(counts);
   b.page_size = page_size_;
-  b.staged_bytes = used_bytes_;
-  b.hash = HashBytes(mem_, used_bytes_);
+  b.staged_bytes = protected_bytes_ = used_bytes_;
+}
+
+void AddressSpace::DropTag() {
+  backing_->Unprotect();
+  backing_->tagged = false;
+  protected_bytes_ = 0;
 }
 
 }  // namespace teleport::ddc

@@ -43,7 +43,9 @@ struct DatasetKey {
 /// Dataset hand-off (DESIGN.md §5): a space whose first bytes a generator
 /// staged and tagged does not free its backing when it dies. The backing
 /// becomes the process's one spare, and the next generator asked for the
-/// same dataset adopts it instead of drawing the data again.
+/// same dataset adopts it instead of drawing the data again. The host pages
+/// of a tagged dataset are read-only: a simulated store into it (see
+/// NoteWrite) drops the tag, and a raw host write into it faults.
 class AddressSpace {
  public:
   /// Creates a space able to hold up to `capacity_bytes` of allocations.
@@ -63,26 +65,39 @@ class AddressSpace {
   VAddr Alloc(uint64_t bytes, std::string name);
 
   /// Asks this space, still empty, to adopt the spare backing. It does if
-  /// the spare holds the dataset `key` staged at this page size, its bytes
-  /// still hash to the value taken when it was tagged, and it is large
-  /// enough for this space. The generator then repeats its Alloc calls,
-  /// which keep the adopted bytes, and skips its draws; `counts` receives
-  /// what it returned besides the bytes. A spare that does not match is
-  /// freed before the generator allocates. Returns false on a non-empty
-  /// space.
+  /// the spare holds the dataset `key` staged at this page size and is
+  /// large enough for this space; its bytes are not read. The generator
+  /// then repeats its Alloc calls, which keep the adopted bytes, and skips
+  /// its draws; `counts` receives what it returned besides the bytes. A
+  /// spare that does not match is freed before the generator allocates.
+  /// Returns false on a non-empty space.
   bool AdoptDataset(const DatasetKey& key, std::vector<uint64_t>* counts);
 
   /// Tags everything allocated so far as the dataset the generator asked
-  /// AdoptDataset() for, together with `counts`, and hashes it. Does
-  /// nothing unless that call found the space empty.
+  /// AdoptDataset() for, together with `counts`, and makes its host pages
+  /// read-only. Does nothing unless that call found the space empty, and
+  /// leaves the space untagged when its page size is not a multiple of the
+  /// host's or the protection fails.
   void TagDataset(std::vector<uint64_t> counts);
+
+  /// Called before a simulated store that starts at `addr`: a store into
+  /// the tagged dataset makes it writable again and drops the tag, so the
+  /// backing is freed, not handed on, when the space dies.
+  void NoteWrite(VAddr addr) {
+    if (WriteProtected(addr)) DropTag();
+  }
+
+  /// Whether `addr` lies in the write-protected dataset.
+  bool WriteProtected(VAddr addr) const { return addr < protected_bytes_; }
 
   /// Bytes at the start of the space adopted from an earlier one (0 if
   /// none).
   uint64_t adopted_bytes() const { return adopted_bytes_; }
 
   /// Translates a virtual address to a host pointer. The range
-  /// [addr, addr+len) must be inside an allocated region.
+  /// [addr, addr+len) must be inside an allocated region. A write through
+  /// the pointer into a staged dataset faults: store through an
+  /// ExecutionContext instead.
   void* HostPtr(VAddr addr, uint64_t len) {
     TELEPORT_DCHECK(addr + len <= used_bytes_);
     (void)len;
@@ -114,10 +129,14 @@ class AddressSpace {
   struct Spare;
   static Spare& spare();
 
+  /// Makes the tagged dataset writable and untags it.
+  void DropTag();
+
   uint64_t capacity_bytes_;
   uint64_t page_size_;
   uint64_t used_bytes_ = 0;
   uint64_t adopted_bytes_ = 0;
+  uint64_t protected_bytes_ = 0;  // the tagged dataset's length, else 0
   std::unique_ptr<Backing> backing_;  // allocated by the first Alloc
   std::byte* mem_ = nullptr;          // backing_'s host memory
   /// The dataset a generator is staging from address 0, until tagged.

@@ -271,6 +271,8 @@ void MemorySystem::FillPin(ExecutionContext& ctx, PagePin& pin, PageId page) {
   const uint64_t page_size = params_.page_size;
   pin.v_lo = static_cast<VAddr>(page) * page_size;
   pin.v_hi = pin.v_lo + page_size - 1;  // used_bytes is page-aligned
+  // A store into a staged dataset must reach AccessImpl, which notes it.
+  if (space_.WriteProtected(pin.v_lo)) pin.write_ok = false;
   pin.host = static_cast<std::byte*>(space_.HostPtr(pin.v_lo, page_size));
   pin.page = page;
   pin.stream_slot = slot;

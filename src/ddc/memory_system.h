@@ -670,6 +670,7 @@ inline void* ExecutionContext::AccessImpl(VAddr addr, uint64_t len,
     cursor += in_page;
     remaining -= in_page;
   }
+  if (write) ms_->space().NoteWrite(addr);
   void* p = ms_->space().HostPtr(addr, len);
   if (yield_fn_ != nullptr) yield_fn_(yield_arg_);
   return p;

@@ -1,6 +1,8 @@
 #include "ddc/address_space.h"
 
+#include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +59,32 @@ TEST(AddressSpaceTest, PageOf) {
   EXPECT_EQ(as.PageOf(4095), 0u);
   EXPECT_EQ(as.PageOf(4096), 1u);
   EXPECT_EQ(as.PageOf(12345), 3u);
+}
+
+TEST(AddressSpaceDeathTest, FreedSpareIsWritableAgain) {
+  // Runs in a fresh process, whose allocator hands the memory of the freed
+  // spare to the next space of the same size. Small enough to come from
+  // the heap, where the allocator also writes into what is freed.
+  const std::string style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        constexpr uint64_t kCapacity = 16 * 4096;
+        for (const DatasetKey& key : {DatasetKey{"freed.first", {1}},
+                                      DatasetKey{"freed.second", {2}}}) {
+          // The second space frees the first's spare: it does not match.
+          AddressSpace as(kCapacity, 4096);
+          as.AdoptDataset(key, nullptr);
+          as.Alloc(kCapacity, "dataset");
+          as.TagDataset({});
+        }
+        AddressSpace as(kCapacity, 4096);
+        const VAddr a = as.Alloc(kCapacity, "all");
+        std::memset(as.HostPtr(a, kCapacity), 0xab, kCapacity);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  ::testing::GTEST_FLAG(death_test_style) = style;
 }
 
 TEST(AddressSpaceDeathTest, ExhaustionAborts) {
