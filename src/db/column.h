@@ -15,14 +15,16 @@ namespace teleport::db {
 /// A fixed-width int64 column stored in the simulated address space —
 /// the moral equivalent of a MonetDB BAT tail. All timed access goes
 /// through an ExecutionContext; raw host access is only for data
-/// generation (before SeedData stages the buffer pool).
+/// generation (before SeedData stages the buffer pool). Its creator writes
+/// every row before anything reads the column: the region is allocated
+/// for overwrite, not zero-filled.
 class Column {
  public:
   Column(ddc::MemorySystem* ms, std::string name, uint64_t rows)
       : ms_(ms),
         name_(std::move(name)),
         rows_(rows),
-        addr_(ms->space().Alloc(rows * sizeof(int64_t), name_)) {}
+        addr_(ms->space().AllocForOverwrite(rows * sizeof(int64_t), name_)) {}
 
   const std::string& name() const { return name_; }
   uint64_t rows() const { return rows_; }
@@ -67,7 +69,8 @@ class Column {
 };
 
 /// A fixed-width character column (e.g. p_name): `width` bytes per row,
-/// zero-padded. Substring scans read the real bytes through the DDC.
+/// zero-padded. Substring scans read the real bytes through the DDC. Like
+/// a Column, its creator sets every row (RawSet writes the padding too).
 class StringColumn {
  public:
   StringColumn(ddc::MemorySystem* ms, std::string name, uint64_t rows,
@@ -76,7 +79,7 @@ class StringColumn {
         name_(std::move(name)),
         rows_(rows),
         width_(width),
-        addr_(ms->space().Alloc(rows * width, name_)) {}
+        addr_(ms->space().AllocForOverwrite(rows * width, name_)) {}
 
   const std::string& name() const { return name_; }
   uint64_t rows() const { return rows_; }

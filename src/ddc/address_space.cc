@@ -50,7 +50,7 @@ struct AddressSpace::Backing {
   }
 
   std::unique_ptr<std::byte[]> block;
-  std::byte* mem;  // host-page aligned, uninitialized until Alloc fills it
+  std::byte* mem;  // host-page aligned, uninitialized until allocated
   uint64_t capacity;
   // The tag, set by TagDataset(): the dataset at [0, staged_bytes), whose
   // host pages are read-only exactly while the tag is set.
@@ -114,6 +114,21 @@ AddressSpace::~AddressSpace() {
 }
 
 VAddr AddressSpace::Alloc(uint64_t bytes, std::string name) {
+  const VAddr start = Place(bytes, std::move(name));
+  Fill(start, used_bytes_, 0);
+  return start;
+}
+
+VAddr AddressSpace::AllocForOverwrite(uint64_t bytes, std::string name) {
+  const VAddr start = Place(bytes, std::move(name));
+#ifndef NDEBUG
+  Fill(start, start + bytes, kPoison);
+#endif
+  Fill(start + bytes, used_bytes_, 0);
+  return start;
+}
+
+VAddr AddressSpace::Place(uint64_t bytes, std::string name) {
   TELEPORT_CHECK(bytes > 0);
   const uint64_t rounded = (bytes + page_size_ - 1) / page_size_ * page_size_;
   TELEPORT_CHECK(used_bytes_ + rounded <= capacity_bytes_)
@@ -128,16 +143,17 @@ VAddr AddressSpace::Alloc(uint64_t bytes, std::string name) {
   }
   const VAddr start = used_bytes_;
   used_bytes_ += rounded;
-  // A generator repeating its Alloc calls over an adopted dataset ends
+  // A generator repeating its allocations over an adopted dataset ends
   // exactly where the dataset does.
   TELEPORT_CHECK(start >= adopted_bytes_ || used_bytes_ <= adopted_bytes_)
       << "region '" << name << "' straddles the end of the adopted dataset";
-  const uint64_t fill_from = std::max(start, adopted_bytes_);
-  if (used_bytes_ > fill_from) {
-    std::memset(mem_ + fill_from, 0, used_bytes_ - fill_from);
-  }
   regions_.push_back(Region{std::move(name), start, rounded});
   return start;
+}
+
+void AddressSpace::Fill(VAddr from, VAddr to, unsigned char value) {
+  from = std::max(from, adopted_bytes_);
+  if (to > from) std::memset(mem_ + from, value, to - from);
 }
 
 bool AddressSpace::AdoptDataset(const DatasetKey& key,

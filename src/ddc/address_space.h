@@ -40,6 +40,11 @@ struct DatasetKey {
 /// allocations is unnecessary; the whole space is discarded with the
 /// MemorySystem at the end of a run.
 ///
+/// Each byte is initialized once. Alloc() zero-fills a region;
+/// AllocForOverwrite() leaves that to an owner that writes the whole region
+/// before reading it: the generators' staged columns, corpus and graph
+/// edges, and the B+-tree's node arena, whose nodes are scrubbed when taken.
+///
 /// Dataset hand-off (DESIGN.md §5): a space whose first bytes a generator
 /// staged and tagged does not free its backing when it dies. The backing
 /// becomes the process's one spare, and the next generator asked for the
@@ -49,9 +54,9 @@ struct DatasetKey {
 class AddressSpace {
  public:
   /// Creates a space able to hold up to `capacity_bytes` of allocations.
-  /// Host memory for the whole capacity is reserved by the first Alloc(),
-  /// so host pointers stay valid for the life of the space; Alloc()
-  /// zero-fills each region, which is when its host pages become resident.
+  /// Host memory for the whole capacity is reserved by the first
+  /// allocation, so host pointers stay valid for the life of the space; a
+  /// host page becomes resident when its bytes are first written.
   explicit AddressSpace(uint64_t capacity_bytes, uint64_t page_size);
   /// Hands a tagged backing on as the spare; frees an untagged one.
   ~AddressSpace();
@@ -63,6 +68,16 @@ class AddressSpace {
   /// is exhausted (simulated machines are sized by the caller). The region
   /// is zero-filled, except where it lies in an adopted dataset.
   VAddr Alloc(uint64_t bytes, std::string name);
+
+  /// Allocates like Alloc() a region whose owner writes each of its first
+  /// `bytes` before anything reads them (DESIGN.md §5): only the rest of
+  /// its last page is zero-filled. Builds without NDEBUG fill the first
+  /// `bytes` with kPoison, so a read before the owner's write changes a
+  /// result. An adopted dataset keeps its bytes either way.
+  VAddr AllocForOverwrite(uint64_t bytes, std::string name);
+
+  /// What AllocForOverwrite() leaves in a region's body without NDEBUG.
+  static constexpr unsigned char kPoison = 0xa5;
 
   /// Asks this space, still empty, to adopt the spare backing. It does if
   /// the spare holds the dataset `key` staged at this page size and is
@@ -131,6 +146,12 @@ class AddressSpace {
 
   /// Makes the tagged dataset writable and untags it.
   void DropTag();
+
+  /// Appends a region of `bytes` rounded up to whole pages; returns its
+  /// start.
+  VAddr Place(uint64_t bytes, std::string name);
+  /// Sets every byte of [from, to) outside the adopted dataset to `value`.
+  void Fill(VAddr from, VAddr to, unsigned char value);
 
   uint64_t capacity_bytes_;
   uint64_t page_size_;

@@ -83,7 +83,8 @@ TextCorpus GenerateText(ddc::MemorySystem* ms, const TextConfig& config) {
   std::vector<uint64_t> counts;
   const bool adopted = ms->space().AdoptDataset(TextKey(config), &counts);
   TextCorpus corpus;
-  corpus.addr = ms->space().Alloc(config.bytes, "text.corpus");
+  // DrawText writes every byte of the corpus.
+  corpus.addr = ms->space().AllocForOverwrite(config.bytes, "text.corpus");
   corpus.bytes = config.bytes;
   if (adopted) {
     corpus.words = counts[0];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -44,7 +45,8 @@ BTree::BTree(ddc::MemorySystem* ms, ddc::ExecutionContext& ctx,
   }
   meta_ = ms_->space().Alloc(page_, "btree.meta");
   arena_bytes_ = opts_.arena_pages * page_;
-  arena_ = ms_->space().Alloc(arena_bytes_, "btree.arena");
+  // AllocNode scrubs each node before it is read.
+  arena_ = ms_->space().AllocForOverwrite(arena_bytes_, "btree.arena");
   ctx.Store<uint64_t>(meta_ + kMetaBump, 0);
   ctx.Store<uint64_t>(meta_ + kMetaFreeHead, 0);
   const ddc::VAddr root = AllocNode(ctx, /*leaf=*/true);
@@ -210,7 +212,7 @@ BTree::SplitResult BTree::InsertRec(ddc::ExecutionContext& ctx,
     if (sr.right == 0) return {};
     // Insert (sep, right) after the child that split.
     v = ReadNode(ctx, node);  // re-read: the child insert may have split us? no
-    std::vector<uint64_t> words = v.words;
+    std::vector<uint64_t> words = std::move(v.words);
     const size_t at = static_cast<size_t>(ci + 1) * 2;
     words.insert(words.begin() + static_cast<ptrdiff_t>(at),
                  {sr.sep, sr.right});
@@ -251,7 +253,7 @@ BTree::SplitResult BTree::InsertRec(ddc::ExecutionContext& ctx,
     *slot = node + kEntries + static_cast<uint64_t>(idx) * kRecordStride;
     return {};
   }
-  std::vector<uint64_t> words = v.words;
+  std::vector<uint64_t> words = std::move(v.words);
   words.insert(words.begin() + static_cast<ptrdiff_t>(idx) * 4,
                {key, 0, RecordMeta::Pack(0, false), 0});
   const int newcount = v.count + 1;

@@ -1,5 +1,6 @@
 #include "ddc/address_space.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -32,6 +33,52 @@ TEST(AddressSpaceTest, MemoryIsZeroInitialized) {
   const VAddr a = as.Alloc(4096, "z");
   const auto* p = static_cast<const unsigned char*>(as.HostPtr(a, 4096));
   for (int i = 0; i < 4096; ++i) EXPECT_EQ(p[i], 0);
+}
+
+TEST(AddressSpaceTest, AllocForOverwriteZeroFillsOnlyTheTail) {
+  // Each deployment adopts a one-page dataset and allocates a page and a
+  // half past it, on memory the deployment before it filled with 0xab.
+  constexpr uint64_t kPage = 4096;
+  constexpr uint64_t kBytes = kPage + kPage / 2;
+  const DatasetKey key{"overwrite.tail", {1}};
+  auto fill_past_dataset = [](AddressSpace& as) {
+    std::memset(as.HostPtr(kPage, 2 * kPage), 0xab, 2 * kPage);
+  };
+  auto count = [](const AddressSpace& as, VAddr from, VAddr to, int byte) {
+    const auto* p = static_cast<const unsigned char*>(as.HostPtr(0, to));
+    return std::count(p + from, p + to, byte);
+  };
+  {
+    AddressSpace as(3 * kPage, kPage);
+    ASSERT_FALSE(as.AdoptDataset(key, nullptr));
+    as.Alloc(kPage, "dataset");
+    as.TagDataset({});
+    as.Alloc(2 * kPage, "scratch");
+    fill_past_dataset(as);
+  }
+  {
+    AddressSpace as(3 * kPage, kPage);
+    ASSERT_TRUE(as.AdoptDataset(key, nullptr));
+    as.Alloc(kPage, "dataset");
+    const VAddr a = as.AllocForOverwrite(kBytes, "region");
+    ASSERT_EQ(a, kPage);
+    EXPECT_EQ(as.used_bytes(), 3 * kPage);
+    EXPECT_EQ(count(as, a + kBytes, 3 * kPage, 0),
+              static_cast<long>(3 * kPage - a - kBytes));
+#ifdef NDEBUG
+    // The body keeps what the previous deployment left.
+    EXPECT_EQ(count(as, a, a + kBytes, 0xab), static_cast<long>(kBytes));
+#else
+    EXPECT_EQ(count(as, a, a + kBytes, AddressSpace::kPoison),
+              static_cast<long>(kBytes));
+#endif
+    fill_past_dataset(as);
+  }
+  AddressSpace as(3 * kPage, kPage);
+  ASSERT_TRUE(as.AdoptDataset(key, nullptr));
+  as.Alloc(kPage, "dataset");
+  const VAddr a = as.Alloc(kBytes, "region");
+  EXPECT_EQ(count(as, a, 3 * kPage, 0), static_cast<long>(2 * kPage));
 }
 
 TEST(AddressSpaceTest, HostPtrRoundTripsData) {
