@@ -7,7 +7,8 @@ Run from anywhere inside the repository:
 
 It exports <rev> with `git archive` into WORK/parent and builds it and the
 working tree (the change, uncommitted edits included) in Release, each in
-its own build directory under WORK. Then, in each tree:
+its own build directory under WORK, and with --pairs also builds each
+tree's perfbench, all before it runs any program. Then, in each tree:
 
   - it runs every bench_fig*, bench_ablation_* and bench_pr* binary with
     TELEPORT_BENCH_JSON and TELEPORT_TRACE_DIR pointing into that tree's
@@ -28,11 +29,16 @@ setting and metric it prints each side's median and interquartile range,
 the median of the per-pair ratios change/parent, and in how many pairs the
 change was better (the direction BENCHMARK.json gives).
 
-Exits nonzero when the trees differ or a program fails to build.
+Exits nonzero when the trees differ or a program fails to build, and
+with an error when the change tree's sources (every file git tracks or
+would add) differ at the end from what was built: perfbench/run.py
+rebuilds before every run, so an edit made meanwhile would reach the
+change side unannounced.
 """
 
 import argparse
 import difflib
+import hashlib
 import json
 import os
 import re
@@ -81,6 +87,27 @@ def build(src, build_dir, jobs):
             "-DCMAKE_BUILD_TYPE=Release"], stdout=subprocess.DEVNULL)
     sh(["cmake", "--build", build_dir, "-j", str(jobs)],
        stdout=subprocess.DEVNULL)
+
+
+def build_perfbench(tree):
+    sh([sys.executable, "-c",
+        "import sys; sys.path.insert(0, 'perfbench'); "
+        "import run; run.build()"], cwd=tree, env=clean_env(),
+       stderr=subprocess.DEVNULL)
+
+
+def sources_digest(root, work):
+    """Hashes every file of `root` that git tracks or would add, outside
+    `work`."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=root, check=True,
+                           stdout=subprocess.PIPE).stdout.split(b"\0")
+    digest = hashlib.sha256()
+    for name in sorted(n for n in names if n):
+        path = root / os.fsdecode(name)
+        if work not in path.parents and path.is_file():
+            digest.update(name + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def programs(build_dir):
@@ -183,11 +210,6 @@ def run_pairs(trees, args):
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
-    for tree in trees.values():  # build outside the timed runs
-        sh([sys.executable, "-c",
-            "import sys; sys.path.insert(0, 'perfbench'); "
-            "import run; run.build()"], cwd=tree, env=clean_env(),
-           stderr=subprocess.DEVNULL)
     samples = {}  # (workload, trace, metric) -> {"parent": [...], ...}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -256,13 +278,16 @@ def main():
             sys.exit(f"git archive {rev} failed")
         marker.write_text(rev)
 
+    built = sources_digest(root, work)
+    for side, src in trees.items():
+        if not args.skip_identity:
+            build(src, work / f"{side}-build", args.jobs)
+        if args.pairs > 0:
+            build_perfbench(src)
     problems = []
     if not args.skip_identity:
-        runs = {}
-        for side, src in trees.items():
-            build_dir = work / f"{side}-build"
-            build(src, build_dir, args.jobs)
-            runs[side] = run_tree(side, build_dir, work / f"{side}-run")
+        runs = {side: run_tree(side, work / f"{side}-build",
+                               work / f"{side}-run") for side in trees}
         problems = compare_trees(runs["parent"], runs["change"],
                                  work / "parent-run", work / "change-run")
         for p in problems:
@@ -271,6 +296,9 @@ def main():
               f"{len(problems)} difference(s)")
     if args.pairs > 0:
         run_pairs(trees, args)
+    if sources_digest(root, work) != built:
+        sys.exit(f"{root}: sources changed after they were built, so the "
+                 "change side may have run a mix of two trees")
     return 1 if problems else 0
 
 
