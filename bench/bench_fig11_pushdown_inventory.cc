@@ -63,9 +63,9 @@ int main() {
       "\nIn this reproduction every pushdown is literally one wrapper:\n"
       "  runtime->Call(ctx, [&](ExecutionContext& mem) { kernel(mem, ...); "
       "})\n"
-      "(see db/query.cc PlanExecutor::Run, graph/engine.cc "
-      "PhaseRunner::Run,\n"
-      "mr/engine.cc MrRunner::Run) — 3-6 lines per operator, matching the\n"
+      "(one harness, teleport/wrap.h tp::WrappedRun::Call, runs every db\n"
+      "operator, graph phase and mr phase) — 3-6 lines per operator, "
+      "matching the\n"
       "paper's claim that changes are negligible relative to each system.\n");
   bench::PrintFooter();
   return 0;

@@ -3,77 +3,36 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "sim/tracer.h"
 
 namespace teleport::db {
 
 namespace {
 
-/// Runs a plan operator either inline or as a pushdown call, recording an
-/// OperatorProfile from the caller's clock/metrics deltas. The body runs
-/// against whichever context the placement dictates, so the same kernel
-/// code serves both paths — the paper's "selective wrapping of existing
-/// function calls" (§1).
-class PlanExecutor {
+/// One plan's run: each operator goes through the wrapping harness and
+/// appends its OperatorProfile.
+class Plan {
  public:
-  PlanExecutor(ddc::ExecutionContext& ctx, const QueryOptions& opts)
-      : ctx_(ctx),
-        opts_(opts),
-        start_ns_(ctx.now()),
-        start_metrics_(ctx.metrics()) {}
+  Plan(ddc::ExecutionContext& ctx, const QueryOptions& opts)
+      : run_(ctx, opts, "db"), opts_(opts) {}
 
   template <typename Fn>
   void Run(const std::string& name, OpKind kind, Fn&& body) {
-    TELEPORT_TRACE(ctx_.memory_system().tracer(), ctx_.clock(), "db", name,
-                   sim::kTrackCompute);
-    OperatorProfile prof;
-    prof.name = name;
-    prof.kind = kind;
-    const Nanos t0 = ctx_.now();
-    const uint64_t rm0 = ctx_.metrics().RemoteMemoryBytes();
-    const uint64_t cpu0 = ctx_.metrics().cpu_ops;
-    const uint64_t pg0 =
-        ctx_.metrics().cache_misses + ctx_.metrics().dirty_writebacks;
-    if (opts_.ShouldPush(name)) {
-      prof.pushed = true;
-      const Status st = opts_.runtime->Call(
-          ctx_,
-          [&](ddc::ExecutionContext& mem_ctx) {
-            body(mem_ctx);
-            return Status::OK();
-          },
-          opts_.flags);
-      TELEPORT_CHECK(st.ok()) << "pushdown of operator '" << name
-                              << "' failed: " << st;
-    } else {
-      body(ctx_);
-    }
-    prof.time_ns = ctx_.now() - t0;
-    prof.remote_bytes = ctx_.metrics().RemoteMemoryBytes() - rm0;
-    prof.cpu_ops = ctx_.metrics().cpu_ops - cpu0;
-    prof.remote_pages = ctx_.metrics().cache_misses +
-                        ctx_.metrics().dirty_writebacks - pg0;
-    result_.ops.push_back(std::move(prof));
+    const bool pushed = opts_.ShouldPush(name);
+    result_.ops.push_back(
+        {run_.Call(name, pushed, body), name, kind, /*rows_out=*/0, pushed});
   }
 
   void SetRowsOut(uint64_t rows) { result_.ops.back().rows_out = rows; }
 
   QueryResult Finish(int64_t checksum) {
     result_.checksum = checksum;
-    result_.total_ns = ctx_.now() - start_ns_;
-    if (opts_.scopes != nullptr) {
-      opts_.scopes->Record(ctx_.tenant(),
-                           ctx_.metrics().Diff(start_metrics_),
-                           result_.total_ns);
-    }
+    result_.total_ns = run_.Finish();
     return std::move(result_);
   }
 
  private:
-  ddc::ExecutionContext& ctx_;
+  tp::WrappedRun run_;
   const QueryOptions& opts_;
-  Nanos start_ns_;
-  sim::Metrics start_metrics_;
   QueryResult result_;
 };
 
@@ -110,7 +69,7 @@ const OperatorProfile& QueryResult::Op(std::string_view name) const {
 QueryResult RunQFilter(ddc::ExecutionContext& ctx, const TpchDatabase& db,
                        const QueryOptions& opts, int64_t date_bound) {
   ddc::MemorySystem& ms = ctx.memory_system();
-  PlanExecutor ex(ctx, opts);
+  Plan ex(ctx, opts);
 
   SelVector sel;
   ex.Run("Selection", OpKind::kSelection, [&](ddc::ExecutionContext& c) {
@@ -138,7 +97,7 @@ QueryResult RunQFilter(ddc::ExecutionContext& ctx, const TpchDatabase& db,
 QueryResult RunQ1(ddc::ExecutionContext& ctx, const TpchDatabase& db,
                   const QueryOptions& opts) {
   ddc::MemorySystem& ms = ctx.memory_system();
-  PlanExecutor ex(ctx, opts);
+  Plan ex(ctx, opts);
   const int64_t d = kDateDomainDays - 90;  // shipdate <= domain - 90 days
 
   SelVector sel;
@@ -191,7 +150,7 @@ QueryResult RunQ1(ddc::ExecutionContext& ctx, const TpchDatabase& db,
 QueryResult RunQ6(ddc::ExecutionContext& ctx, const TpchDatabase& db,
                   const QueryOptions& opts) {
   ddc::MemorySystem& ms = ctx.memory_system();
-  PlanExecutor ex(ctx, opts);
+  Plan ex(ctx, opts);
   const int64_t d1 = 2 * kDaysPerYear;  // one TPC-H year
 
   SelVector sel_date;
@@ -249,7 +208,7 @@ QueryResult RunQ6(ddc::ExecutionContext& ctx, const TpchDatabase& db,
 QueryResult RunQ3(ddc::ExecutionContext& ctx, const TpchDatabase& db,
                   const QueryOptions& opts) {
   ddc::MemorySystem& ms = ctx.memory_system();
-  PlanExecutor ex(ctx, opts);
+  Plan ex(ctx, opts);
   const int64_t d = kDateDomainDays / 2;  // the Q3 pivot date
 
   SelVector sel_cust;
@@ -331,7 +290,7 @@ QueryResult RunQ3(ddc::ExecutionContext& ctx, const TpchDatabase& db,
 QueryResult RunQ9(ddc::ExecutionContext& ctx, const TpchDatabase& db,
                   const QueryOptions& opts) {
   ddc::MemorySystem& ms = ctx.memory_system();
-  PlanExecutor ex(ctx, opts);
+  Plan ex(ctx, opts);
   constexpr int64_t kCompositeShift = 1 << 20;
 
   SelVector sel_part;

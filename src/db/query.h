@@ -9,8 +9,7 @@
 
 #include "db/operators.h"
 #include "db/tpch.h"
-#include "sim/tenant_scopes.h"
-#include "teleport/pushdown.h"
+#include "teleport/wrap.h"
 
 namespace teleport::db {
 
@@ -28,17 +27,13 @@ enum class OpKind {
 
 std::string_view OpKindToString(OpKind k);
 
-/// Per-operator measurement collected during a query run: wall time on the
-/// caller's virtual clock, remote-memory traffic attributed to the
-/// operator, and whether it executed via pushdown. The basis of Figs 10,
-/// 12, 18 and the §7.4 memory-intensity metric.
-struct OperatorProfile {
+/// Per-operator measurement collected during a query run: the operator
+/// call's cost on the caller (wall time on its virtual clock, remote-memory
+/// traffic, CPU operations), and whether it executed via pushdown. The
+/// basis of Figs 10, 12, 18 and the §7.4 memory-intensity metric.
+struct OperatorProfile : tp::CallCost {
   std::string name;
   OpKind kind = OpKind::kSelection;
-  Nanos time_ns = 0;
-  uint64_t remote_bytes = 0;
-  uint64_t remote_pages = 0;  ///< pages moved between pools
-  uint64_t cpu_ops = 0;       ///< simple operations charged by the kernel
   uint64_t rows_out = 0;
   bool pushed = false;
 
@@ -62,16 +57,9 @@ struct QueryResult {
 /// How to execute a plan: with `runtime` set, operators whose names appear
 /// in `push_ops` (or all of them if `push_all`) run via the pushdown
 /// syscall; everything else executes in the calling context.
-struct QueryOptions {
-  tp::PushdownRuntime* runtime = nullptr;
+struct QueryOptions : tp::WrapOptions {
   std::set<std::string> push_ops;
   bool push_all = false;
-  tp::PushdownFlags flags;
-
-  /// Multi-tenant attribution (PR7): when set, the whole run's
-  /// context-metrics diff and end-to-end latency are recorded into the
-  /// calling context's tenant scope.
-  sim::TenantScopes* scopes = nullptr;
 
   bool ShouldPush(const std::string& op_name) const {
     return runtime != nullptr &&

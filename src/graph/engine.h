@@ -7,8 +7,7 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "sim/tenant_scopes.h"
-#include "teleport/pushdown.h"
+#include "teleport/wrap.h"
 
 namespace teleport::graph {
 
@@ -18,29 +17,15 @@ enum class Phase { kFinalize, kGather, kApply, kScatter };
 
 std::string_view PhaseToString(Phase p);
 
-/// Per-phase aggregate over all iterations: wall time and remote traffic —
-/// the Fig 10 (center) breakdown.
-struct PhaseProfile {
-  Phase phase = Phase::kFinalize;
-  Nanos time_ns = 0;
-  uint64_t remote_bytes = 0;
-  uint64_t invocations = 0;
-  bool pushed = false;
-};
+/// Per-phase aggregate over all iterations: the Fig 10 (center) breakdown.
+using PhaseProfile = tp::PhaseProfile<Phase>;
 
 /// Execution options: which phases to Teleport (§5.2 pushes finalize,
 /// gather, and scatter), and how many workers finalize partitions for.
-struct GasOptions {
-  tp::PushdownRuntime* runtime = nullptr;
+struct GasOptions : tp::WrapOptions {
   std::set<Phase> push_phases;
   int workers = 8;
   int max_iterations = 10'000;
-  tp::PushdownFlags flags;
-
-  /// Multi-tenant attribution (PR7): when set, the whole run's
-  /// context-metrics diff and end-to-end latency are recorded into the
-  /// calling context's tenant scope.
-  sim::TenantScopes* scopes = nullptr;
 
   bool ShouldPush(Phase p) const {
     return runtime != nullptr && push_phases.count(p) > 0;
@@ -48,15 +33,13 @@ struct GasOptions {
 };
 
 /// Result of a GAS run. `values` is the per-vertex result array in DDC
-/// space; checksum digests it platform-independently.
-struct GasResult {
+/// space; checksum digests it platform-independently. `phases` holds
+/// finalize, gather, apply and scatter, in that order.
+struct GasResult : tp::PhasedResult<Phase> {
   ddc::VAddr values = 0;
   int64_t checksum = 0;
   Nanos total_ns = 0;
   int iterations = 0;
-  std::vector<PhaseProfile> phases;  // finalize, gather, apply, scatter
-
-  const PhaseProfile& Profile(Phase p) const;
 };
 
 /// Vertex program hooks (gather-apply-scatter with message combining).

@@ -8,8 +8,7 @@
 #include <vector>
 
 #include "mr/text.h"
-#include "sim/tenant_scopes.h"
-#include "teleport/pushdown.h"
+#include "teleport/wrap.h"
 
 namespace teleport::mr {
 
@@ -20,42 +19,26 @@ enum class MrPhase { kMapCompute, kMapShuffle, kReduce, kMerge };
 
 std::string_view MrPhaseToString(MrPhase p);
 
-struct MrPhaseProfile {
-  MrPhase phase = MrPhase::kMapCompute;
-  Nanos time_ns = 0;
-  uint64_t remote_bytes = 0;
-  uint64_t invocations = 0;
-  bool pushed = false;
-};
+using MrPhaseProfile = tp::PhaseProfile<MrPhase>;
 
-struct MrOptions {
-  tp::PushdownRuntime* runtime = nullptr;
+struct MrOptions : tp::WrapOptions {
   std::set<MrPhase> push_phases;
   int map_tasks = 8;
   int reduce_tasks = 8;
   /// Optional hint of the number of distinct keys; sizes the keyed reduce
   /// buffers (0 = conservative sizing from the input volume).
   uint64_t distinct_hint = 0;
-  tp::PushdownFlags flags;
-
-  /// Multi-tenant attribution (PR7): when set, the whole run's
-  /// context-metrics diff and end-to-end latency are recorded into the
-  /// calling context's tenant scope.
-  sim::TenantScopes* scopes = nullptr;
 
   bool ShouldPush(MrPhase p) const {
     return runtime != nullptr && push_phases.count(p) > 0;
   }
 };
 
-struct MrResult {
+struct MrResult : tp::PhasedResult<MrPhase> {
   int64_t checksum = 0;      ///< platform-independent result digest
   uint64_t pairs = 0;        ///< key-value pairs emitted by map
   uint64_t distinct_keys = 0;
   Nanos total_ns = 0;
-  std::vector<MrPhaseProfile> phases;
-
-  const MrPhaseProfile& Profile(MrPhase p) const;
 };
 
 /// WordCount: map emits (hash(word), 1) per token; reduce sums per key;
