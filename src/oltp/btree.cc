@@ -97,6 +97,11 @@ BTree::NodeView BTree::ReadNode(ddc::ExecutionContext& ctx,
   for (;;) {
     const uint64_t v0 = ctx.Load<uint64_t>(node + kHdrVersion);
     if ((v0 & 1) != 0) {  // structural writer mid-flight: retry
+      // Only another simulated thread can finish that write, and one runs
+      // only while this context yields.
+      TELEPORT_CHECK(ctx.yield_fn() != nullptr)
+          << "B+-tree node " << node << " reads odd version " << v0
+          << " on a context without a yield hook: no writer can finish";
       ctx.ChargeCpu(1);
       continue;
     }
@@ -114,6 +119,9 @@ BTree::NodeView BTree::ReadNode(ddc::ExecutionContext& ctx,
     }
     const uint64_t v1 = ctx.Load<uint64_t>(node + kHdrVersion);
     if (v1 == v0) return out;
+    TELEPORT_CHECK(ctx.yield_fn() != nullptr)
+        << "B+-tree node " << node << " version moved from " << v0 << " to "
+        << v1 << " on a context without a yield hook";
     ctx.ChargeCpu(1);  // raced a structural writer: retry
   }
 }

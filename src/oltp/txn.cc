@@ -41,6 +41,11 @@ Txn::ReadResult Txn::Read(ddc::ExecutionContext& ctx, uint64_t key) {
     }
     const uint64_t s0 = ctx.Load<uint64_t>(slot + kSeqOff);
     if ((s0 & 1) != 0) {  // committer mid-flight on this record
+      // Only another simulated thread can finish that commit, and one runs
+      // only while this context yields.
+      TELEPORT_CHECK(ctx.yield_fn() != nullptr)
+          << "record of key " << key << " reads odd seq " << s0
+          << " on a context without a yield hook: no committer can finish";
       ctx.ChargeCpu(1);
       continue;
     }

@@ -176,6 +176,25 @@ TEST(OltpTxnTest, ScanReadsCommittedRecords) {
 
 // --- The planted protocol mutations, provably caught by invariant #7 --------
 
+// A reader that finds a writer mid-flight (an odd seqlock word) can only
+// wait for another simulated thread to finish the write, and none runs
+// while its context has no yield hook: the retry loops abort instead of
+// spinning forever.
+TEST(OltpRetryDeathTest, OddNodeVersionWithoutYieldHookAborts) {
+  Rig r = MakeRig();
+  const ddc::VAddr leaf = r.tree->FindLeaf(*r.ctx, 3);
+  r.ctx->Store<uint64_t>(leaf, 7);  // a node's first word is its version
+  EXPECT_DEATH(r.tree->FindRecord(*r.ctx, 3), "node .* reads odd version 7");
+}
+
+TEST(OltpRetryDeathTest, OddRecordSeqWithoutYieldHookAborts) {
+  Rig r = MakeRig();
+  const ddc::VAddr record = r.tree->FindRecord(*r.ctx, 3);
+  r.ctx->Store<uint64_t>(record + 24, 7);  // {key, value, meta, seq}
+  Txn t(r.mgr.get(), 0);
+  EXPECT_DEATH(t.Read(*r.ctx, 3), "key 3 reads odd seq 7");
+}
+
 TEST(OltpMutationTest, SkipOccValidationLosesUpdateAndIsCaught) {
   Rig r = MakeRig();
   r.ms->set_protocol_mutation(ProtocolMutation::kSkipOccValidation);
