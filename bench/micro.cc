@@ -179,7 +179,7 @@ class PushdownTask : public sim::Task {
         TELEPORT_CHECK(false) << "not a pushdown scenario";
     }
     const Nanos arrive =
-        ms_->fabric().SendToMemory(caller_->now(), req_bytes);
+        ms_->fabric().SendToMemory(net::Link{}, caller_->now(), req_bytes);
     caller_->metrics().net_messages += 1;
     caller_->metrics().net_bytes += req_bytes;
     ms_->BeginPushdownSession(mode);
@@ -198,7 +198,7 @@ class PushdownTask : public sim::Task {
       if (mc->now() > end) end = mc->now();
     }
     const Nanos resp = ms_->fabric().SendToCompute(
-        end + params.context_fixed_ns / 4, 192);
+        net::Link{}, end + params.context_fixed_ns / 4, 192);
     caller_->metrics().net_messages += 1;
     caller_->metrics().net_bytes += 192;
     caller_->clock().AdvanceTo(resp);

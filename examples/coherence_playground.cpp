@@ -107,7 +107,7 @@ int main() {
   std::printf("\nAct 5: memory-pool failure (S3.2)\n");
   tp::PushdownRuntime runtime(&ms);
   auto caller = ms.CreateContext(ddc::Pool::kCompute);
-  ms.fabric().InjectFailureWindow(caller->now());  // pool dies now
+  ms.fabric().InjectFailureWindowOn(0, caller->now());  // pool dies now
   const Status st = runtime.Call(*caller, [&](ddc::ExecutionContext& m) {
     (void)m.Load<int64_t>(data);
     return Status::OK();

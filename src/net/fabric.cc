@@ -394,21 +394,12 @@ void Fabric::DrainQueueStats(sim::Metrics& m) {
 }
 
 bool Fabric::ReachableAt(Nanos now, int memory_node) const {
-  const size_t m = CheckedNode(memory_node);
-  if (reachable_[m] == 0) return false;
-  if (fail_from_[m] >= 0 && now >= fail_from_[m] &&
-      (fail_until_[m] == kNeverHeals || now < fail_until_[m])) {
-    return false;
-  }
-  if (injector_ != nullptr && !injector_->LinkUpAt(now, memory_node)) {
-    return false;
-  }
-  return true;
+  return !HardDownAt(now, memory_node) &&
+         (injector_ == nullptr || injector_->LinkUpAt(now, memory_node));
 }
 
 Nanos Fabric::NextReachableAt(Nanos now, int memory_node) const {
   const size_t m = CheckedNode(memory_node);
-  if (reachable_[m] == 0) return kNeverHeals;
   Nanos t = now;
   // Iterate because an injector outage may begin exactly where the injected
   // failure window ends (and vice versa).
@@ -482,7 +473,6 @@ std::string Fabric::QueueBreakdownToString() const {
 void Fabric::Reset() {
   for (Channel& ch : compute_to_memory_) ch.Reset();
   for (Channel& ch : memory_to_compute_) ch.Reset();
-  std::fill(reachable_.begin(), reachable_.end(), 1);
   std::fill(fail_from_.begin(), fail_from_.end(), -1);
   std::fill(fail_until_.begin(), fail_until_.end(), kNeverHeals);
   messages_by_kind_.fill(0);

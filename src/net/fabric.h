@@ -73,8 +73,7 @@ Backend BackendFromEnv();
 class FaultInjector;
 
 /// One (compute node, memory node) pair of the rack. The default-constructed
-/// link is the degenerate 1x1 topology's single pair, so every pre-rack call
-/// site addresses link {0, 0} implicitly.
+/// link is the degenerate 1x1 topology's single pair, {0, 0}.
 struct Link {
   int src = 0;  ///< compute-pool client (blade) index
   int dst = 0;  ///< memory-pool shard (controller) index
@@ -136,8 +135,7 @@ class Channel {
 /// one reliable-FIFO channel per direction per (src, dst) link, plus
 /// per-memory-node reachability driven by the heartbeat thread (§3.2,
 /// failure handling). The default 1x1 construction is the paper's
-/// point-to-point topology, and every legacy (link-less) entry point
-/// addresses link {0, 0}, so single-pool callers are unchanged.
+/// point-to-point topology; every send names its link, `Link{}` on it.
 ///
 /// An optional FaultInjector perturbs traffic deterministically: one-way
 /// `Send*` paths stay reliable (a drop is hidden by a transport-level
@@ -163,7 +161,6 @@ class Fabric {
             static_cast<size_t>(compute_nodes) * memory_nodes),
         memory_to_compute_(
             static_cast<size_t>(compute_nodes) * memory_nodes),
-        reachable_(static_cast<size_t>(memory_nodes), 1),
         fail_from_(static_cast<size_t>(memory_nodes), -1),
         fail_until_(static_cast<size_t>(memory_nodes), kNeverHeals),
         backend_(BackendFromEnv()),
@@ -192,26 +189,12 @@ class Fabric {
       Link link, Nanos now, uint64_t req_bytes, uint64_t resp_bytes,
       Nanos handler_ns, MessageKind req_kind = MessageKind::kPageFaultRequest,
       MessageKind resp_kind = MessageKind::kPageFaultReply);
-  Nanos RoundTripFromCompute(
-      Nanos now, uint64_t req_bytes, uint64_t resp_bytes, Nanos handler_ns,
-      MessageKind req_kind = MessageKind::kPageFaultRequest,
-      MessageKind resp_kind = MessageKind::kPageFaultReply) {
-    return RoundTripFromCompute(Link{}, now, req_bytes, resp_bytes,
-                                handler_ns, req_kind, resp_kind);
-  }
 
   /// Same, initiated from the memory side of `link`.
   Nanos RoundTripFromMemory(
       Link link, Nanos now, uint64_t req_bytes, uint64_t resp_bytes,
       Nanos handler_ns, MessageKind req_kind = MessageKind::kCoherenceRequest,
       MessageKind resp_kind = MessageKind::kCoherenceReply);
-  Nanos RoundTripFromMemory(
-      Nanos now, uint64_t req_bytes, uint64_t resp_bytes, Nanos handler_ns,
-      MessageKind req_kind = MessageKind::kCoherenceRequest,
-      MessageKind resp_kind = MessageKind::kCoherenceReply) {
-    return RoundTripFromMemory(Link{}, now, req_bytes, resp_bytes, handler_ns,
-                               req_kind, resp_kind);
-  }
 
   /// One-way message compute -> memory; returns delivery time. Reliable:
   /// injected drops delay delivery (transport retransmit) instead of losing
@@ -221,20 +204,12 @@ class Fabric {
     return ReliableDeliver(C2m(link), /*to_memory=*/true, link, now, bytes,
                            kind);
   }
-  Nanos SendToMemory(Nanos now, uint64_t bytes,
-                     MessageKind kind = MessageKind::kPageReturn) {
-    return SendToMemory(Link{}, now, bytes, kind);
-  }
 
   /// One-way message memory -> compute; returns delivery time.
   Nanos SendToCompute(Link link, Nanos now, uint64_t bytes,
                       MessageKind kind = MessageKind::kPageFaultReply) {
     return ReliableDeliver(M2c(link), /*to_memory=*/false, link, now, bytes,
                            kind);
-  }
-  Nanos SendToCompute(Nanos now, uint64_t bytes,
-                      MessageKind kind = MessageKind::kPageFaultReply) {
-    return SendToCompute(Link{}, now, bytes, kind);
   }
 
   /// Fault-visible sends: a drop (probabilistic, or a scheduled outage of
@@ -246,15 +221,9 @@ class Fabric {
                               MessageKind kind) {
     return TryDeliver(C2m(link), /*to_memory=*/true, link, now, bytes, kind);
   }
-  SendOutcome TrySendToMemory(Nanos now, uint64_t bytes, MessageKind kind) {
-    return TrySendToMemory(Link{}, now, bytes, kind);
-  }
   SendOutcome TrySendToCompute(Link link, Nanos now, uint64_t bytes,
                                MessageKind kind) {
     return TryDeliver(M2c(link), /*to_memory=*/false, link, now, bytes, kind);
-  }
-  SendOutcome TrySendToCompute(Nanos now, uint64_t bytes, MessageKind kind) {
-    return TrySendToCompute(Link{}, now, bytes, kind);
   }
 
   /// Scatter-gather send: one verb whose gather list covers `segments` byte
@@ -296,21 +265,6 @@ class Fabric {
 
   const sim::CostParams& params() const { return params_; }
 
-  /// Simulates a network / memory-node hardware failure: subsequent
-  /// pushdown attempts observe an unreachable pool. (The real system
-  /// triggers a kernel panic, §3.2; we surface Status::Unavailable.)
-  /// The link-less form flips every memory node — the whole pool side of
-  /// the rack — which on a 1x1 fabric is exactly the old semantics.
-  void set_reachable(bool reachable) {
-    for (auto& r : reachable_) r = reachable ? 1 : 0;
-  }
-  void set_node_reachable(int memory_node, bool reachable) {
-    reachable_[CheckedNode(memory_node)] = reachable ? 1 : 0;
-  }
-  bool reachable(int memory_node = 0) const {
-    return reachable_[CheckedNode(memory_node)] != 0;
-  }
-
   /// Failure injection: memory node `memory_node` becomes unreachable on
   /// the virtual timeline at `from`, healing at `until` (exclusive).
   /// `until` defaults to kNeverHeals — a permanent failure, the paper's
@@ -326,22 +280,18 @@ class Fabric {
     fail_from_[CheckedNode(memory_node)] = from;
     fail_until_[CheckedNode(memory_node)] = until;
   }
-  void InjectFailureWindow(Nanos from, Nanos until = kNeverHeals) {
-    InjectFailureWindowOn(0, from, until);
-  }
 
   /// Heartbeats and pushdowns evaluate reachability at their own send time.
-  /// Considers the per-node manual flag, the injected failure window, and
-  /// any scheduled injector outage (link flap / crash-restart) of that node.
+  /// Considers the injected failure window and any scheduled injector
+  /// outage (link flap / crash-restart) of that node.
   bool ReachableAt(Nanos now, int memory_node = 0) const;
 
-  /// Hard (panic-class) unreachability: the manual flag or an injected
-  /// failure window, ignoring injector outages. The §3.2 runtime panics on
-  /// these; injector outages are transient (flap / restartable node) and are
-  /// handled by the retry layer instead.
+  /// Hard (panic-class) unreachability: an injected failure window,
+  /// ignoring injector outages. The §3.2 runtime panics on these; injector
+  /// outages are transient (flap / restartable node) and are handled by the
+  /// retry layer instead.
   bool HardDownAt(Nanos now, int memory_node = 0) const {
     const size_t m = CheckedNode(memory_node);
-    if (reachable_[m] == 0) return true;
     return fail_from_[m] >= 0 && now >= fail_from_[m] &&
            (fail_until_[m] == kNeverHeals || now < fail_until_[m]);
   }
@@ -395,9 +345,6 @@ class Fabric {
   /// local NIC can see its own committed backlog, so a saturated-but-
   /// healthy shard is not mistaken for a dead one.
   Nanos QueueBacklogNs(Link link, Nanos now) const;
-  Nanos QueueBacklogNs(Nanos now) const {
-    return QueueBacklogNs(Link{}, now);
-  }
 
   /// True when the active backend executes this message NIC-side (skipping
   /// the shard controller queue and the host handler): coherence directory
@@ -522,7 +469,6 @@ class Fabric {
   int memory_nodes_ = 1;
   std::vector<Channel> compute_to_memory_;  ///< [src * memory_nodes_ + dst]
   std::vector<Channel> memory_to_compute_;  ///< [src * memory_nodes_ + dst]
-  std::vector<uint8_t> reachable_;          ///< per memory node
   std::vector<Nanos> fail_from_;            ///< per memory node
   std::vector<Nanos> fail_until_;           ///< per memory node
   FaultInjector* injector_ = nullptr;

@@ -12,7 +12,7 @@ void FaultInjector::AddOutage(Nanos from, Nanos until, bool crash_restart,
   TELEPORT_CHECK(until > from)
       << "outage windows are finite: until (" << until
       << ") must be > from (" << from
-      << "); use Fabric::InjectFailureWindow for a permanent failure";
+      << "); use Fabric::InjectFailureWindowOn for a permanent failure";
   TELEPORT_CHECK(node >= 0) << "outage node must be >= 0, got " << node;
   if (static_cast<size_t>(node) >= nodes_.size()) {
     nodes_.resize(static_cast<size_t>(node) + 1);

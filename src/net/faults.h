@@ -32,8 +32,8 @@ struct FaultDecision {
 /// One scheduled outage of a compute<->memory link. While an outage covers
 /// the current virtual time the targeted memory node is unreachable; the
 /// window heals at `until` (exclusive). Windows are always finite —
-/// permanent loss is expressed with Fabric::InjectFailureWindow, which keeps
-/// the paper's panic semantics (§3.2).
+/// permanent loss is expressed with Fabric::InjectFailureWindowOn, which
+/// keeps the paper's panic semantics (§3.2).
 struct OutageWindow {
   Nanos from = 0;
   Nanos until = 0;
@@ -119,10 +119,6 @@ class FaultInjector {
   /// stays a const query).
   FaultDecision OnSend(MessageKind kind, Nanos now, Link link,
                        bool to_memory);
-  /// Legacy single-link form: the {0, 0} compute->memory stream.
-  FaultDecision OnSend(MessageKind kind, Nanos now) {
-    return OnSend(kind, now, Link{}, /*to_memory=*/true);
-  }
 
   /// Records a message lost to an outage window (bookkeeping only).
   void CountOutageDrop() { ++outage_drops_; }

@@ -31,10 +31,10 @@ TEST(FormatGoldenTest, FabricKindBreakdownSkipsZeroKindsAndKeepsEnumOrder) {
   net::Fabric fabric(sim::CostParams::Default());
   // Drive known traffic through the public send APIs; kinds with zero
   // messages must be omitted and the rest printed in enum order.
-  fabric.SendToMemory(0, 64, net::MessageKind::kPushdownRequest);
-  fabric.SendToCompute(0, 4096, net::MessageKind::kPageFaultReply);
-  fabric.SendToCompute(0, 4096, net::MessageKind::kPageFaultReply);
-  fabric.SendToMemory(0, 128, net::MessageKind::kSyncmem);
+  fabric.SendToMemory(net::Link{}, 0, 64, net::MessageKind::kPushdownRequest);
+  fabric.SendToCompute(net::Link{}, 0, 4096, net::MessageKind::kPageFaultReply);
+  fabric.SendToCompute(net::Link{}, 0, 4096, net::MessageKind::kPageFaultReply);
+  fabric.SendToMemory(net::Link{}, 0, 128, net::MessageKind::kSyncmem);
   EXPECT_EQ(fabric.KindBreakdownToString(),
             "fabric{PushdownRequest=1/64B PageFaultReply=2/8192B "
             "Syncmem=1/128B}");
@@ -42,7 +42,7 @@ TEST(FormatGoldenTest, FabricKindBreakdownSkipsZeroKindsAndKeepsEnumOrder) {
 
 TEST(FormatGoldenTest, FabricKindBreakdownResetsClean) {
   net::Fabric fabric(sim::CostParams::Default());
-  fabric.SendToMemory(0, 64, net::MessageKind::kHeartbeat);
+  fabric.SendToMemory(net::Link{}, 0, 64, net::MessageKind::kHeartbeat);
   fabric.Reset();
   EXPECT_EQ(fabric.KindBreakdownToString(), "fabric{}");
 }
@@ -56,7 +56,8 @@ TEST(FormatGoldenTest, FabricQueueBreakdownEmptyAndIdeal) {
   net::Fabric fabric(p);
   EXPECT_EQ(fabric.QueueBreakdownToString(), "fabricq{}");
   // kIdeal never touches the queue machinery, no matter the traffic.
-  fabric.SendToMemory(0, 4096, net::MessageKind::kPageFaultRequest);
+  fabric.SendToMemory(net::Link{}, 0, 4096,
+                      net::MessageKind::kPageFaultRequest);
   EXPECT_EQ(fabric.QueueBreakdownToString(), "fabricq{}");
 }
 

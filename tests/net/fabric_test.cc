@@ -179,7 +179,7 @@ TEST(ChannelTest, ResetClearsState) {
 TEST(FabricTest, RoundTripAddsHandlerTime) {
   Fabric f(TestParams());
   // req: 0 -> 1064 (64B); handler 936 -> reply sent at 2000; 64B -> 3064.
-  const Nanos done = f.RoundTripFromCompute(0, 64, 64, 936);
+  const Nanos done = f.RoundTripFromCompute(Link{}, 0, 64, 64, 936);
   EXPECT_EQ(done, 3064);
   EXPECT_EQ(f.total_messages(), 2u);
   EXPECT_EQ(f.total_bytes(), 128u);
@@ -187,25 +187,16 @@ TEST(FabricTest, RoundTripAddsHandlerTime) {
 
 TEST(FabricTest, RoundTripFromMemoryUsesOppositeChannels) {
   Fabric f(TestParams());
-  f.RoundTripFromMemory(0, 64, 64, 0);
+  f.RoundTripFromMemory(Link{}, 0, 64, 64, 0);
   EXPECT_EQ(f.memory_to_compute().messages_sent(), 1u);
   EXPECT_EQ(f.compute_to_memory().messages_sent(), 1u);
 }
 
 TEST(FabricTest, DirectionsAreIndependentChannels) {
   Fabric f(TestParams());
-  f.SendToMemory(0, 1000000);  // saturate one direction
+  f.SendToMemory(Link{}, 0, 1000000);  // saturate one direction
   // The reverse direction is unaffected by the forward queue.
-  EXPECT_EQ(f.SendToCompute(0, 8), 1008);
-}
-
-TEST(FabricTest, ReachabilityFlag) {
-  Fabric f(TestParams());
-  EXPECT_TRUE(f.reachable());
-  f.set_reachable(false);
-  EXPECT_FALSE(f.reachable());
-  f.Reset();
-  EXPECT_TRUE(f.reachable());
+  EXPECT_EQ(f.SendToCompute(Link{}, 0, 8), 1008);
 }
 
 TEST(FabricTest, MessageKindNamesAreStable) {
@@ -221,7 +212,7 @@ TEST(FabricTest, PaperLatencyBandwidth) {
   // microseconds: 1.2us + ~9ns (64B) + handler + 1.2us + ~585ns (4KiB).
   Fabric f(sim::CostParams::Default());
   const Nanos done =
-      f.RoundTripFromCompute(0, 64, 4096 + 64, /*handler_ns=*/900);
+      f.RoundTripFromCompute(Link{}, 0, 64, 4096 + 64, /*handler_ns=*/900);
   EXPECT_GT(done, 3'000);
   EXPECT_LT(done, 5'000);
 }
@@ -251,9 +242,9 @@ TEST(FabricBackendTest, IdealLeavesQueueMachineryUntouched) {
   // locked against this.
   Fabric f(TestParams());
   ASSERT_EQ(f.backend(), Backend::kIdeal);
-  EXPECT_EQ(f.SendToMemory(0, 500), 1500);  // the PR1 number, unchanged
-  f.RoundTripFromCompute(0, 64, 64, 936);
-  EXPECT_EQ(f.QueueBacklogNs(0), 0);
+  EXPECT_EQ(f.SendToMemory(Link{}, 0, 500), 1500);  // the PR1 number, unchanged
+  f.RoundTripFromCompute(Link{}, 0, 64, 64, 936);
+  EXPECT_EQ(f.QueueBacklogNs(Link{}, 0), 0);
   EXPECT_EQ(f.doorbells(), 0u);
   EXPECT_EQ(f.coalesced_doorbells(), 0u);
   EXPECT_EQ(f.sg_sends(), 0u);
@@ -268,7 +259,7 @@ TEST(FabricBackendTest, QueuedSingleFlowIsIdealPlusVerbOverhead) {
   // delivery = 250 + max(500/1.0, 500/12.5, 500/10.0) + 1000.
   Fabric f(TestParams());
   f.set_backend(Backend::kQueuedRdma);
-  EXPECT_EQ(f.SendToMemory(0, 500), 1750);
+  EXPECT_EQ(f.SendToMemory(Link{}, 0, 500), 1750);
   EXPECT_EQ(f.doorbells(), 1u);
   EXPECT_EQ(f.coalesced_doorbells(), 0u);
   EXPECT_EQ(f.queued_sends_of(MessageKind::kPageReturn), 0u);
@@ -277,11 +268,11 @@ TEST(FabricBackendTest, QueuedSingleFlowIsIdealPlusVerbOverhead) {
 TEST(FabricBackendTest, DoorbellBatchingCoalescesTheSecondVerb) {
   Fabric f(TestParams());
   f.set_backend(Backend::kQueuedRdma);
-  f.SendToMemory(0, 500);
+  f.SendToMemory(Link{}, 0, 500);
   // Second send inside the 400 ns batch window: no second verb overhead,
   // but it queues behind the first transfer's committed link residency
   // (busy until 750) — wait = 750, delivery = 750 + 500 + 1000.
-  EXPECT_EQ(f.SendToMemory(100, 500), 2250);
+  EXPECT_EQ(f.SendToMemory(Link{}, 100, 500), 2250);
   EXPECT_EQ(f.doorbells(), 1u);
   EXPECT_EQ(f.coalesced_doorbells(), 1u);
   EXPECT_EQ(f.queued_sends_of(MessageKind::kPageReturn), 1u);
@@ -406,7 +397,7 @@ TEST(FabricBackendTest, ResetClearsQueueState) {
   EXPECT_EQ(f.doorbells(), 0u);
   EXPECT_EQ(f.coalesced_doorbells(), 0u);
   EXPECT_EQ(f.QueueBreakdownToString(), "fabricq{}");
-  EXPECT_EQ(f.SendToMemory(0, 500), 1750);  // fresh-fabric number again
+  EXPECT_EQ(f.SendToMemory(Link{}, 0, 500), 1750);  // fresh-fabric number again
 }
 
 namespace {

@@ -1,5 +1,5 @@
-// FaultInjector unit tests plus the Fabric failure-window contract: the
-// single-argument InjectFailureWindow form means "permanent" via the
+// FaultInjector unit tests plus the Fabric failure-window contract: an
+// InjectFailureWindowOn without `until` means "permanent" via the
 // kNeverHeals sentinel, and a degenerate interval aborts instead of
 // silently meaning forever.
 
@@ -20,7 +20,7 @@ sim::CostParams Params() { return sim::CostParams::Default(); }
 
 TEST(FailureWindowTest, SingleArgumentFormIsPermanent) {
   Fabric fabric(Params());
-  fabric.InjectFailureWindow(5 * kMicrosecond);
+  fabric.InjectFailureWindowOn(0, 5 * kMicrosecond);
   EXPECT_TRUE(fabric.ReachableAt(0));
   EXPECT_FALSE(fabric.ReachableAt(5 * kMicrosecond));
   EXPECT_FALSE(fabric.ReachableAt(1000 * kSecond));
@@ -29,7 +29,7 @@ TEST(FailureWindowTest, SingleArgumentFormIsPermanent) {
 
 TEST(FailureWindowTest, FiniteWindowHeals) {
   Fabric fabric(Params());
-  fabric.InjectFailureWindow(10, 20);
+  fabric.InjectFailureWindowOn(0, 10, 20);
   EXPECT_TRUE(fabric.ReachableAt(9));
   EXPECT_FALSE(fabric.ReachableAt(10));
   EXPECT_FALSE(fabric.ReachableAt(19));
@@ -42,8 +42,8 @@ TEST(FailureWindowDeathTest, EmptyWindowAborts) {
   Fabric fabric(Params());
   // `until == from` historically meant "forever" silently; it is now a
   // contract violation.
-  EXPECT_DEATH(fabric.InjectFailureWindow(7, 7), "failure window");
-  EXPECT_DEATH(fabric.InjectFailureWindow(7, 3), "failure window");
+  EXPECT_DEATH(fabric.InjectFailureWindowOn(0, 7, 7), "failure window");
+  EXPECT_DEATH(fabric.InjectFailureWindowOn(0, 7, 3), "failure window");
 }
 
 TEST(FailureWindowTest, HardDownIgnoresInjectorOutages) {
@@ -53,7 +53,7 @@ TEST(FailureWindowTest, HardDownIgnoresInjectorOutages) {
   fabric.set_fault_injector(&inj);
   EXPECT_FALSE(fabric.ReachableAt(150));  // transient: link down
   EXPECT_FALSE(fabric.HardDownAt(150));   // ...but not panic-class
-  fabric.InjectFailureWindow(300, 400);
+  fabric.InjectFailureWindowOn(0, 300, 400);
   EXPECT_TRUE(fabric.HardDownAt(350));
 }
 
@@ -67,8 +67,10 @@ TEST(FaultInjectorTest, SeedDeterminism) {
   a.SetSpecAll(spec);
   b.SetSpecAll(spec);
   for (int i = 0; i < 1000; ++i) {
-    const FaultDecision da = a.OnSend(MessageKind::kPageFaultRequest, i);
-    const FaultDecision db = b.OnSend(MessageKind::kPageFaultRequest, i);
+    const FaultDecision da =
+        a.OnSend(MessageKind::kPageFaultRequest, i, Link{}, true);
+    const FaultDecision db =
+        b.OnSend(MessageKind::kPageFaultRequest, i, Link{}, true);
     EXPECT_EQ(da.dropped, db.dropped);
     EXPECT_EQ(da.copies, db.copies);
     EXPECT_EQ(da.extra_delay_ns, db.extra_delay_ns);
@@ -84,8 +86,9 @@ TEST(FaultInjectorTest, PerKindSpecsAreIndependent) {
   drop_all.drop_p = 1.0;
   inj.SetSpec(MessageKind::kHeartbeat, drop_all);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(inj.OnSend(MessageKind::kHeartbeat, i).dropped);
-    EXPECT_FALSE(inj.OnSend(MessageKind::kPageFaultRequest, i).dropped);
+    EXPECT_TRUE(inj.OnSend(MessageKind::kHeartbeat, i, Link{}, true).dropped);
+    EXPECT_FALSE(
+        inj.OnSend(MessageKind::kPageFaultRequest, i, Link{}, true).dropped);
   }
   EXPECT_EQ(inj.drops_of(MessageKind::kHeartbeat), 50u);
   EXPECT_EQ(inj.drops_of(MessageKind::kPageFaultRequest), 0u);
@@ -185,7 +188,8 @@ TEST(FabricFaultTest, ReliableSendIsDelayedNeverLost) {
   fabric.set_fault_injector(&inj);
   Nanos t = 0;
   for (int i = 0; i < 200; ++i) {
-    const Nanos d = fabric.SendToMemory(t, 64, MessageKind::kPageReturn);
+    const Nanos d =
+        fabric.SendToMemory(Link{}, t, 64, MessageKind::kPageReturn);
     EXPECT_GT(d, t);  // always delivered, possibly after retransmits
     t = d;
   }
@@ -201,21 +205,22 @@ TEST(FabricFaultTest, TrySendSurfacesDropsAndOutages) {
   inj.AddOutage(1000, 2000);
   fabric.set_fault_injector(&inj);
   EXPECT_FALSE(
-      fabric.TrySendToMemory(0, 64, MessageKind::kPushdownRequest).delivered);
+      fabric.TrySendToMemory(Link{}, 0, 64, MessageKind::kPushdownRequest)
+          .delivered);
   // Outage drops any kind, even with a zero drop probability.
-  EXPECT_FALSE(
-      fabric.TrySendToMemory(1500, 64, MessageKind::kHeartbeat).delivered);
-  EXPECT_TRUE(
-      fabric.TrySendToMemory(2500, 64, MessageKind::kHeartbeat).delivered);
+  EXPECT_FALSE(fabric.TrySendToMemory(Link{}, 1500, 64, MessageKind::kHeartbeat)
+                   .delivered);
+  EXPECT_TRUE(fabric.TrySendToMemory(Link{}, 2500, 64, MessageKind::kHeartbeat)
+                  .delivered);
   EXPECT_GT(inj.outage_drops(), 0u);
 }
 
 TEST(FabricFaultTest, PerKindAccountingSeparatesTraffic) {
   Fabric fabric(Params());
-  fabric.SendToMemory(0, 100, MessageKind::kPushdownRequest);
-  fabric.SendToCompute(10, 200, MessageKind::kPushdownResponse);
-  fabric.SendToMemory(20, 64, MessageKind::kTryCancel);
-  fabric.RoundTripFromCompute(30, 64, 64, 0, MessageKind::kHeartbeat,
+  fabric.SendToMemory(Link{}, 0, 100, MessageKind::kPushdownRequest);
+  fabric.SendToCompute(Link{}, 10, 200, MessageKind::kPushdownResponse);
+  fabric.SendToMemory(Link{}, 20, 64, MessageKind::kTryCancel);
+  fabric.RoundTripFromCompute(Link{}, 30, 64, 64, 0, MessageKind::kHeartbeat,
                               MessageKind::kHeartbeat);
   EXPECT_EQ(fabric.messages_of(MessageKind::kPushdownRequest), 1u);
   EXPECT_EQ(fabric.bytes_of(MessageKind::kPushdownRequest), 100u);
@@ -240,8 +245,8 @@ TEST(FabricFaultTest, ZeroProbabilityInjectorMatchesNoInjector) {
   injected.set_fault_injector(&inj);
   Nanos tp = 0, ti = 0;
   for (int i = 0; i < 100; ++i) {
-    tp = plain.SendToMemory(tp, 64 + i, MessageKind::kPageReturn);
-    ti = injected.SendToMemory(ti, 64 + i, MessageKind::kPageReturn);
+    tp = plain.SendToMemory(Link{}, tp, 64 + i, MessageKind::kPageReturn);
+    ti = injected.SendToMemory(Link{}, ti, 64 + i, MessageKind::kPageReturn);
     EXPECT_EQ(tp, ti);
   }
   EXPECT_EQ(plain.total_messages(), injected.total_messages());
@@ -289,21 +294,6 @@ TEST(FaultInjectorTest, LinkFaultStreamsAreIsolated) {
   }
 }
 
-TEST(FaultInjectorTest, LegacyOverloadIsTheDefaultLinkStream) {
-  // Pre-rack call sites (and older tests) use the 2-arg OnSend; it must be
-  // exactly the {0, 0} compute->memory stream so 1x1 runs have one
-  // well-defined fault timeline.
-  FaultSpec spec;
-  spec.drop_p = 0.5;
-  FaultInjector a(/*seed=*/11), b(/*seed=*/11);
-  a.SetSpecAll(spec);
-  b.SetSpecAll(spec);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(a.OnSend(MessageKind::kSyncmem, i).dropped,
-              b.OnSend(MessageKind::kSyncmem, i, Link{0, 0}, true).dropped);
-  }
-}
-
 TEST(FaultInjectorTest, ResetReplaysEveryLinkStream) {
   FaultSpec spec;
   spec.drop_p = 0.4;
@@ -336,7 +326,7 @@ TEST(FabricFaultTest, ResetClearsKindAccountingAndReseedsInjector) {
   Nanos t = 0;
   std::vector<Nanos> first;
   for (int i = 0; i < 50; ++i) {
-    t = fabric.SendToMemory(t, 64, MessageKind::kPageReturn);
+    t = fabric.SendToMemory(Link{}, t, 64, MessageKind::kPageReturn);
     first.push_back(t);
   }
   fabric.Reset();
@@ -344,7 +334,7 @@ TEST(FabricFaultTest, ResetClearsKindAccountingAndReseedsInjector) {
   EXPECT_EQ(inj.drops(), 0u);
   t = 0;
   for (int i = 0; i < 50; ++i) {
-    t = fabric.SendToMemory(t, 64, MessageKind::kPageReturn);
+    t = fabric.SendToMemory(Link{}, t, 64, MessageKind::kPageReturn);
     EXPECT_EQ(t, first[static_cast<size_t>(i)]);  // same seed, same run
   }
 }

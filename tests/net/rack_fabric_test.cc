@@ -59,27 +59,17 @@ TEST(RackFabricTest, PerComputeNodeLinksAreIndependentToo) {
   EXPECT_LT(small, big);
 }
 
-TEST(RackFabricTest, LegacyCallsRouteOverLinkZero) {
-  // The no-link overloads are exactly Link{0, 0}: one fabric, two handles.
-  Fabric a(TestParams(), 2, 2);
-  Fabric b(TestParams(), 2, 2);
-  const Nanos via_legacy = a.SendToMemory(0, 4096, MessageKind::kPageReturn);
-  const Nanos via_link =
-      b.SendToMemory(Link{0, 0}, 0, 4096, MessageKind::kPageReturn);
-  EXPECT_EQ(via_legacy, via_link);
-}
-
 TEST(RackFabricTest, PerNodeReachabilityIsIndependent) {
   Fabric fabric(TestParams(), 1, 2);
-  fabric.set_node_reachable(0, false);
-  EXPECT_FALSE(fabric.ReachableAt(0, 0));
-  EXPECT_TRUE(fabric.ReachableAt(0, 1));
-  fabric.set_node_reachable(0, true);
   fabric.InjectFailureWindowOn(1, 100, 200);
   EXPECT_TRUE(fabric.ReachableAt(150, 0));
   EXPECT_FALSE(fabric.ReachableAt(150, 1));
   EXPECT_EQ(fabric.NextReachableAt(150, 1), 200);
   EXPECT_EQ(fabric.NextReachableAt(150, 0), 150);
+  fabric.InjectFailureWindowOn(0, 0);  // node 0 lost for good
+  EXPECT_FALSE(fabric.ReachableAt(0, 0));
+  EXPECT_EQ(fabric.NextReachableAt(0, 0), Fabric::kNeverHeals);
+  EXPECT_TRUE(fabric.ReachableAt(0, 1));
 }
 
 TEST(RackFaultsTest, WindowsOnDifferentNodesMayOverlap) {

@@ -50,7 +50,7 @@ class FailureTest : public ::testing::Test {
 };
 
 TEST_F(FailureTest, FailureWindowHitsCallsInsideIt) {
-  ms_.fabric().InjectFailureWindow(5 * kMillisecond, 50 * kMillisecond);
+  ms_.fabric().InjectFailureWindowOn(0, 5 * kMillisecond, 50 * kMillisecond);
   auto caller = ms_.CreateContext(Pool::kCompute);
   // Before the window: fine.
   EXPECT_TRUE(Touch(*caller).ok());
@@ -60,7 +60,7 @@ TEST_F(FailureTest, FailureWindowHitsCallsInsideIt) {
 }
 
 TEST_F(FailureTest, PanicLatchesForever) {
-  ms_.fabric().InjectFailureWindow(0, 1 * kMillisecond);
+  ms_.fabric().InjectFailureWindowOn(0, 0, 1 * kMillisecond);
   auto caller = ms_.CreateContext(Pool::kCompute);
   EXPECT_TRUE(Touch(*caller).IsUnavailable());
   EXPECT_TRUE(runtime_.panicked());
@@ -72,14 +72,15 @@ TEST_F(FailureTest, PanicLatchesForever) {
 }
 
 TEST_F(FailureTest, HeartbeatDetectsBeforeAnyPushdown) {
-  ms_.fabric().InjectFailureWindow(0);
+  ms_.fabric().InjectFailureWindowOn(0, 0);
   auto caller = ms_.CreateContext(Pool::kCompute);
   EXPECT_TRUE(runtime_.CheckHeartbeat(*caller).IsUnavailable());
   EXPECT_TRUE(runtime_.panicked());
 }
 
 TEST_F(FailureTest, PermanentFailureHasNoEnd) {
-  ms_.fabric().InjectFailureWindow(2 * kMillisecond);  // until = kNeverHeals
+  // until = kNeverHeals
+  ms_.fabric().InjectFailureWindowOn(0, 2 * kMillisecond);
   auto caller = ms_.CreateContext(Pool::kCompute);
   EXPECT_TRUE(Touch(*caller).ok());
   caller->AdvanceTime(10 * kMillisecond);
@@ -134,7 +135,7 @@ TEST_F(FailureTest, ErrorStatusAlsoEndsTheSessionCleanly) {
 }
 
 TEST_F(FailureTest, FabricResetClearsInjection) {
-  ms_.fabric().InjectFailureWindow(0);
+  ms_.fabric().InjectFailureWindowOn(0, 0);
   EXPECT_FALSE(ms_.fabric().ReachableAt(1));
   ms_.fabric().Reset();
   EXPECT_TRUE(ms_.fabric().ReachableAt(1));

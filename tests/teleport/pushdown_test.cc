@@ -152,7 +152,7 @@ TEST_F(PushdownTest, CallWrapperReturnsStatusWithoutException) {
 
 TEST_F(PushdownTest, UnreachablePoolReturnsUnavailable) {
   auto caller = ms_.CreateContext(Pool::kCompute);
-  ms_.fabric().set_reachable(false);
+  ms_.fabric().InjectFailureWindowOn(0, 0);  // the pool is lost for good
   SumArgs args{0, 0, 0};
   EXPECT_TRUE(runtime_.Pushdown(*caller, SumFn, &args).IsUnavailable());
   EXPECT_TRUE(runtime_.CheckHeartbeat(*caller).IsUnavailable());

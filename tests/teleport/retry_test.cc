@@ -141,7 +141,8 @@ TEST(RetryTest, FaultFreeFabricTakesTheFirstAttemptAtReliableTiming) {
       [&](Nanos) { ++retries_seen; });
   EXPECT_TRUE(r.delivered);
   EXPECT_EQ(r.outcome.deliver_at,
-            reliable.RoundTripFromCompute(kStart, 64, 4160, 2'000));
+            reliable.RoundTripFromCompute(net::Link{}, kStart, 64, 4160,
+                                          2'000));
   EXPECT_EQ(r.at, kStart);
   EXPECT_EQ(r.retries, 0u);
   EXPECT_EQ(r.waited, 0);
