@@ -10,7 +10,7 @@ namespace teleport {
 
 /// Error categories used across the library. Modeled after the
 /// RocksDB/Arrow status idiom: library code never throws; fallible
-/// operations return a Status (or Result<T>).
+/// operations return a Status.
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
@@ -109,13 +109,6 @@ inline bool operator==(const Status& a, const Status& b) {
 inline std::ostream& operator<<(std::ostream& os, const Status& s) {
   return os << s.ToString();
 }
-
-/// Propagates a non-OK status to the caller.
-#define TELEPORT_RETURN_IF_ERROR(expr)             \
-  do {                                             \
-    ::teleport::Status _st = (expr);               \
-    if (!_st.ok()) return _st;                     \
-  } while (0)
 
 }  // namespace teleport
 

@@ -132,12 +132,6 @@ class ExecutionContext {
     return p != nullptr ? p : SlowAccess(addr, len, /*write=*/false);
   }
 
-  /// Charges a write of [addr, addr+len) and returns a host pointer to it.
-  void* WriteRange(VAddr addr, uint64_t len) {
-    void* p = TryPinned(tlb_, addr, len, /*write=*/true);
-    return p != nullptr ? p : SlowAccess(addr, len, /*write=*/true);
-  }
-
   // --- Extent (bulk) APIs ---------------------------------------------------
   //
   // Each is defined to perform exactly the element-by-element access
@@ -176,11 +170,6 @@ class ExecutionContext {
                   }
                 });
   }
-
-  /// Copies `count` elements of T from `src_addr` to `dst_addr`, charging
-  /// the alternating load/store sequence of the scalar loop.
-  template <typename T>
-  void Memcpy(VAddr dst_addr, VAddr src_addr, uint64_t count);
 
   /// Charges `ops` simple CPU operations at this pool's clock speed.
   void ChargeCpu(uint64_t ops);
@@ -287,49 +276,6 @@ class ExecutionContext {
   void* yield_arg_ = nullptr;
 };
 
-template <typename T>
-void ExecutionContext::Memcpy(VAddr dst_addr, VAddr src_addr, uint64_t count) {
-  // Element sequence of the scalar loop: load src[i], then store dst[i].
-  // The source gets a local pin so the context TLB keeps covering the
-  // destination page across calls.
-  PagePin src_pin;
-  uint64_t i = 0;
-  while (i < count) {
-    const VAddr sa = src_addr + i * sizeof(T);
-    const VAddr da = dst_addr + i * sizeof(T);
-    if (yield_fn_ == nullptr && PinnedRunReady(src_pin, sa, sizeof(T), false) &&
-        PinnedRunReady(tlb_, da, sizeof(T), true)) {
-      uint64_t n = std::min((src_pin.v_hi - sa + 1) / sizeof(T),
-                            (tlb_.v_hi - da + 1) / sizeof(T));
-      n = std::min(n, count - i);
-      if (src_pin.notify || tlb_.notify) {
-        // Preserve the exact load/store event interleaving for observers.
-        for (uint64_t j = 0; j < n; ++j) {
-          ChargePinnedRun(src_pin, sizeof(T), 1, false);
-          ChargePinnedRun(tlb_, sizeof(T), 1, true);
-        }
-      } else {
-        // Grouped charging: all Advances are constants, so the clock and
-        // every counter land exactly where the alternating loop puts them.
-        ChargePinnedRun(src_pin, sizeof(T), n, false);
-        ChargePinnedRun(tlb_, sizeof(T), n, true);
-      }
-      std::memmove(tlb_.host + (da - tlb_.v_lo),
-                   src_pin.host + (sa - src_pin.v_lo), n * sizeof(T));
-      i += n;
-      continue;
-    }
-    T v;
-    const void* sp = TryPinned(src_pin, sa, sizeof(T), false);
-    if (sp == nullptr) sp = PinnedSlowAccess(src_pin, sa, sizeof(T), false);
-    std::memcpy(&v, sp, sizeof(T));
-    void* dp = TryPinned(tlb_, da, sizeof(T), true);
-    if (dp == nullptr) dp = PinnedSlowAccess(tlb_, da, sizeof(T), true);
-    std::memcpy(dp, &v, sizeof(T));
-    ++i;
-  }
-}
-
 /// Sequential accessor carrying its own translation pin. Engine inner loops
 /// hold one Cursor per array they walk, so each stream keeps its page pinned
 /// independently of the others (mirroring the kStreams DRAM model): a miss
@@ -365,11 +311,6 @@ class Cursor {
     const void* p = ctx_->TryPinned(pin_, addr, len, /*write=*/false);
     return p != nullptr ? p
                         : ctx_->PinnedSlowAccess(pin_, addr, len, false);
-  }
-
-  void* WriteRange(VAddr addr, uint64_t len) {
-    void* p = ctx_->TryPinned(pin_, addr, len, /*write=*/true);
-    return p != nullptr ? p : ctx_->PinnedSlowAccess(pin_, addr, len, true);
   }
 
  private:

@@ -12,8 +12,8 @@ namespace teleport::oltp {
 
 /// Record metadata word, packed into one uint64 so a reader can snapshot a
 /// record's visibility state with a single charged load:
-///   bit 0      reserved (legacy lock bit; the OLTP layer locks through the
-///                        record's *seq* word instead — see below)
+///   bit 0      always zero (the OLTP layer locks through the record's
+///                        *seq* word instead — see below)
 ///   bit 1      present — 0 is an absent marker (pre-insert slot / never
 ///                        committed insert)
 ///   bits 2..63 version — committed-version counter for OCC validation;
@@ -28,15 +28,12 @@ namespace teleport::oltp {
 /// otherwise capture a provisional value between two identical meta reads
 /// (ABA). The seq word cannot ABA.
 struct RecordMeta {
-  static constexpr uint64_t kLockBit = 1;
   static constexpr uint64_t kPresentBit = 2;
-  static uint64_t Pack(uint64_t version, bool present, bool locked = false) {
-    return (version << 2) | (present ? kPresentBit : 0) |
-           (locked ? kLockBit : 0);
+  static uint64_t Pack(uint64_t version, bool present) {
+    return (version << 2) | (present ? kPresentBit : 0);
   }
   static uint64_t Version(uint64_t meta) { return meta >> 2; }
   static bool Present(uint64_t meta) { return (meta & kPresentBit) != 0; }
-  static bool Locked(uint64_t meta) { return (meta & kLockBit) != 0; }
 };
 
 /// Tuning and offload knobs of one tree instance.

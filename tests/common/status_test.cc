@@ -49,24 +49,6 @@ TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_FALSE(Status::NotFound("a") == Status::Internal("a"));
 }
 
-TEST(StatusTest, ReturnIfErrorPropagates) {
-  auto inner = []() -> Status { return Status::Cancelled("stop"); };
-  auto outer = [&]() -> Status {
-    TELEPORT_RETURN_IF_ERROR(inner());
-    return Status::Internal("unreachable");
-  };
-  EXPECT_TRUE(outer().IsCancelled());
-}
-
-TEST(StatusTest, ReturnIfErrorPassesThroughOk) {
-  auto inner = []() -> Status { return Status::OK(); };
-  auto outer = [&]() -> Status {
-    TELEPORT_RETURN_IF_ERROR(inner());
-    return Status::Internal("reached");
-  };
-  EXPECT_EQ(outer().code(), StatusCode::kInternal);
-}
-
 TEST(StatusTest, CodeNamesAreStable) {
   EXPECT_EQ(StatusCodeToString(StatusCode::kOk), "OK");
   EXPECT_EQ(StatusCodeToString(StatusCode::kFault), "Fault");

@@ -1,5 +1,5 @@
 // Property test for the extent fast path: a randomized program of scalar
-// accesses, spans, fills, memcpys, cursors, and pushdown sessions is run on
+// accesses, spans, fills, cursors, and pushdown sessions is run on
 // twin MemorySystems — one with the fast path live (default), one with
 // TELEPORT's scalar data path forced (set_scalar_datapath) — and every
 // observable must match bit for bit: loaded values, final memory image,
@@ -36,7 +36,6 @@ struct Op {
     kLoadSpan,
     kStoreSpan,
     kFill,
-    kMemcpy,
     kReadRange,
     kCursorWalk,     // short sequential cursor run (loads + stores)
     kSessionToggle,  // begin/end a pushdown session
@@ -46,7 +45,6 @@ struct Op {
   Kind kind;
   uint64_t addr = 0;   // word-aligned offset into the region
   uint64_t count = 0;  // elements (spans) or bytes (ReadRange)
-  uint64_t addr2 = 0;  // memcpy source
   int64_t value = 0;
 };
 
@@ -58,7 +56,7 @@ std::vector<Op> MakeProgram(uint64_t seed, int n_ops) {
   };
   for (int i = 0; i < n_ops; ++i) {
     Op op;
-    op.kind = static_cast<Op::Kind>(rng.Uniform(11));
+    op.kind = static_cast<Op::Kind>(rng.Uniform(10));
     switch (op.kind) {
       case Op::kLoad:
       case Op::kStore:
@@ -75,11 +73,6 @@ std::vector<Op> MakeProgram(uint64_t seed, int n_ops) {
         op.count = 1 + rng.Uniform(768);
         op.addr = word_addr(op.count);
         op.value = static_cast<int64_t>(rng.Uniform(1u << 30));
-        break;
-      case Op::kMemcpy:
-        op.count = 1 + rng.Uniform(768);
-        op.addr = word_addr(op.count);
-        op.addr2 = word_addr(op.count);
         break;
       case Op::kReadRange:
         // Unaligned, arbitrary-length reads (page-straddling included).
@@ -186,9 +179,6 @@ Observed RunProgram(const Case& k, uint64_t seed, bool scalar) {
         break;
       case Op::kFill:
         cc->Fill<int64_t>(base + op.addr, op.value, op.count);
-        break;
-      case Op::kMemcpy:
-        cc->Memcpy<int64_t>(base + op.addr, base + op.addr2, op.count);
         break;
       case Op::kReadRange: {
         const auto* p =

@@ -190,12 +190,9 @@ TEST(GeneratorDigestTest, SecondDeploymentAdoptsTheFirstsDataset) {
 
 /// Stores through the simulator into the staged dataset at `addr`: each
 /// writer complements the first byte it writes, so the dataset changes.
-/// `outside` is an 8-byte region past the dataset.
 struct Writer {
   const char* name;
-  std::function<void(ddc::ExecutionContext&, ddc::VAddr addr,
-                     ddc::VAddr outside)>
-      write;
+  std::function<void(ddc::ExecutionContext&, ddc::VAddr addr)> write;
 };
 
 std::vector<Writer> DatasetWriters() {
@@ -203,41 +200,29 @@ std::vector<Writer> DatasetWriters() {
   using ddc::VAddr;
   return {
       {"Store",
-       [](ExecutionContext& ctx, VAddr addr, VAddr) {
+       [](ExecutionContext& ctx, VAddr addr) {
          ctx.Store<uint8_t>(addr, ~ctx.Load<uint8_t>(addr));
        }},
       {"StoreSpan",
-       [](ExecutionContext& ctx, VAddr addr, VAddr) {
+       [](ExecutionContext& ctx, VAddr addr) {
          uint8_t b[8];
          ctx.LoadSpan<uint8_t>(addr, b, 8);
          for (uint8_t& x : b) x = ~x;
          ctx.StoreSpan<uint8_t>(addr, b, 8);
        }},
       {"Fill",
-       [](ExecutionContext& ctx, VAddr addr, VAddr) {
+       [](ExecutionContext& ctx, VAddr addr) {
          ctx.Fill<uint8_t>(addr, ~ctx.Load<uint8_t>(addr), 8);
        }},
-      {"Memcpy",
-       [](ExecutionContext& ctx, VAddr addr, VAddr outside) {
-         for (uint64_t i = 0; i < 8; ++i) {
-           ctx.Store<uint8_t>(outside + i, ~ctx.Load<uint8_t>(addr + i));
-         }
-         ctx.Memcpy<uint8_t>(addr, outside, 8);
-       }},
       {"Cursor::Store",
-       [](ExecutionContext& ctx, VAddr addr, VAddr) {
+       [](ExecutionContext& ctx, VAddr addr) {
          ddc::Cursor cur(ctx);
          cur.Store<uint8_t>(addr, ~cur.Load<uint8_t>(addr));
-       }},
-      {"WriteRange",
-       [](ExecutionContext& ctx, VAddr addr, VAddr) {
-         auto* p = static_cast<uint8_t*>(ctx.WriteRange(addr, 8));
-         for (int i = 0; i < 8; ++i) p[i] = ~p[i];
        }},
       // Two reads of one page fill the context TLB, so the store meets a
       // pinned translation of the page.
       {"Store after two reads",
-       [](ExecutionContext& ctx, VAddr addr, VAddr) {
+       [](ExecutionContext& ctx, VAddr addr) {
          ctx.Load<uint8_t>(addr + 1);
          ctx.Load<uint8_t>(addr + 2);
          ctx.Store<uint8_t>(addr, ~ctx.Load<uint8_t>(addr));
@@ -251,7 +236,6 @@ TEST(GeneratorDigestTest, TamperedDatasetIsGeneratedAgain) {
     ddc::Platform platform;
     ddc::Pool pool;
   };
-  constexpr uint64_t kOutside = 4096;
   for (const Placement& at :
        {Placement{"Local compute", ddc::Platform::kLocal,
                   ddc::Pool::kCompute},
@@ -269,16 +253,15 @@ TEST(GeneratorDigestTest, TamperedDatasetIsGeneratedAgain) {
           // This one adopts what the previous case drew, then writes into
           // it.
           ddc::MemorySystem ms(config, sim::CostParams::Default(),
-                               s.capacity + kOutside);
+                               s.capacity);
           s.stage(ms);
           const uint64_t staged = ms.space().used_bytes();
-          const ddc::VAddr outside = ms.space().Alloc(8, "outside");
           auto ctx = ms.CreateContext(at.pool);
-          w.write(*ctx, staged / 2, outside);
+          w.write(*ctx, staged / 2);
           ASSERT_NE(PrefixDigest(ms, staged), s.digest) << what;
         }
         ddc::MemorySystem ms(config, sim::CostParams::Default(),
-                             s.capacity + kOutside);
+                             s.capacity);
         s.stage(ms);
         EXPECT_EQ(ms.space().adopted_bytes(), 0u) << what;
         EXPECT_EQ(StagedDigest(ms), s.digest) << what;
