@@ -24,10 +24,13 @@ names; every bench record, minus the fields check_records.py ignores
 With --pairs N it then runs every perfbench workload, untraced and
 traced, in both trees N times, alternating which tree goes first, with no
 TELEPORT_* variable set. Every run lasts BENCHMARK.json's run_seconds;
-pair i uses seed i (from 1) in both trees. For every workload, trace
-setting and metric it prints each side's median and interquartile range,
-the median of the per-pair ratios change/parent, and in how many pairs the
-change was better (the direction BENCHMARK.json gives).
+pair i uses seed i (from 1) in both trees. Each run's metrics go to
+WORK/pairs.jsonl as one line (pair, seed, side, workload, trace, metrics)
+as soon as the run ends. For every workload, trace setting and metric it
+prints each side's median and interquartile range, the median of the
+per-pair ratios change/parent, in how many pairs the change was better
+(the direction BENCHMARK.json gives), and in how many the two values were
+identical.
 
 Exits nonzero when the trees differ or a program fails to build, and
 with an error when the change tree's sources (every file git tracks or
@@ -39,6 +42,7 @@ change side unannounced.
 import argparse
 import difflib
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -206,25 +210,31 @@ def quartiles(xs):
     return q[0], q[2]
 
 
-def run_pairs(trees, args):
+def run_pairs(trees, work, pairs):
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
+    workloads = [w["name"] for w in spec["workloads"]]
     samples = {}  # (workload, trace, metric) -> {"parent": [...], ...}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for workload in (w["name"] for w in spec["workloads"]):
-            for trace in (0, 1):
-                for side in order:
-                    m = perfbench(trees[side], workload, i + 1,
-                                  spec["run_seconds"], trace)
-                    for name, value in m.items():
-                        samples.setdefault((workload, trace, name), {
-                            "parent": [], "change": []})[side].append(value)
-        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr,
-              flush=True)
+    with open(work / "pairs.jsonl", "w") as log:
+        for i in range(pairs):
+            order = (("parent", "change") if i % 2 == 0 else
+                     ("change", "parent"))
+            for workload, trace, side in itertools.product(workloads, (0, 1),
+                                                           order):
+                m = perfbench(trees[side], workload, i + 1,
+                              spec["run_seconds"], trace)
+                log.write(json.dumps({"pair": i + 1, "seed": i + 1,
+                                      "side": side, "workload": workload,
+                                      "trace": trace, "metrics": m}) + "\n")
+                log.flush()
+                for name, value in m.items():
+                    samples.setdefault((workload, trace, name), {
+                        "parent": [], "change": []})[side].append(value)
+            print(f"pair {i + 1}/{pairs} done", file=sys.stderr, flush=True)
     print(f"\n{'workload':<15} trace {'metric':<28} {'parent med':>12} "
-          f"{'IQR':>10} {'change med':>12} {'IQR':>10} {'ratio':>7} wins")
+          f"{'IQR':>10} {'change med':>12} {'IQR':>10} {'ratio':>7} "
+          f"wins same")
     for (workload, trace, name), s in sorted(samples.items()):
         p, c = s["parent"], s["change"]
         ratios = [b / a for a, b in zip(p, c) if a != 0]
@@ -232,12 +242,14 @@ def run_pairs(trees, args):
             wins = sum(b > a for a, b in zip(p, c))
         else:
             wins = sum(b < a for a, b in zip(p, c))
+        same = sum(b == a for a, b in zip(p, c))
         pq, cq = quartiles(p), quartiles(c)
         ratio = f"{statistics.median(ratios):7.4f}" if ratios else "    n/a"
         print(f"{workload:<15} {trace:>5} {name:<28} "
               f"{statistics.median(p):12.6g} "
               f"{pq[1] - pq[0]:10.4g} {statistics.median(c):12.6g} "
-              f"{cq[1] - cq[0]:10.4g} {ratio} {wins}/{len(p)}")
+              f"{cq[1] - cq[0]:10.4g} {ratio} {wins}/{len(p)} "
+              f"{same}/{len(p)}")
 
 
 def main():
@@ -295,7 +307,7 @@ def main():
         print("identical" if not problems else
               f"{len(problems)} difference(s)")
     if args.pairs > 0:
-        run_pairs(trees, args)
+        run_pairs(trees, work, args.pairs)
     if sources_digest(root, work) != built:
         sys.exit(f"{root}: sources changed after they were built, so the "
                  "change side may have run a mix of two trees")

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "ddc/memory_system.h"
 #include "sim/interleaver.h"
+#include "teleport/pushdown.h"
 
 namespace teleport::bench {
 
@@ -145,7 +146,7 @@ class PushdownTask : public sim::Task {
 
   void Setup() {
     const auto& params = ms_->params();
-    uint64_t req_bytes = 192;
+    uint64_t req_bytes = tp::kPushdownRequestBytes;
     uint64_t resident = 0;
     CoherenceMode mode = CoherenceMode::kNone;
     switch (scenario_) {
@@ -198,9 +199,10 @@ class PushdownTask : public sim::Task {
       if (mc->now() > end) end = mc->now();
     }
     const Nanos resp = ms_->fabric().SendToCompute(
-        net::Link{}, end + params.context_fixed_ns / 4, 192);
+        net::Link{}, end + params.context_fixed_ns / 4,
+        tp::kPushdownResponseBytes);
     caller_->metrics().net_messages += 1;
-    caller_->metrics().net_bytes += 192;
+    caller_->metrics().net_bytes += tp::kPushdownResponseBytes;
     caller_->clock().AdvanceTo(resp);
     if (scenario_ == MicroScenario::kPushFullProcess) {
       ms_->BulkRefetch(*caller_, flushed_);

@@ -138,9 +138,11 @@ class ExecutionContext {
   // sequence of the equivalent Load/Store loop — same touch order, same
   // per-element charges — but runs of same-page hit accesses are charged in
   // closed form through the pinned translation (one multiplication instead
-  // of N dispatches). With a yield hook installed (sim::CoopTask) or the
-  // TELEPORT_SCALAR_DATAPATH knob set, they degrade to the per-element
-  // scalar path so schedule-exploration granularity is preserved.
+  // of N dispatches). With a yield hook installed (sim::CoopTask) they go
+  // element by element, and every element yields once whether a pin or the
+  // full dispatch serves it, as a Load/Store loop would. With the
+  // TELEPORT_SCALAR_DATAPATH knob set no pin fills, so every element takes
+  // the full dispatch; the charges and the yields stay the same.
 
   /// Reads `count` elements of T starting at `addr` into `dst`.
   template <typename T>

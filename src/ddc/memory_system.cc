@@ -125,16 +125,13 @@ MemorySystem::MemorySystem(const DdcConfig& config,
     TELEPORT_CHECK(config.platform == Platform::kBaseDdc)
         << "multi-node racks only exist on the kBaseDdc platform";
   }
-  // The explore tier exports TELEPORT_SCALAR_DATAPATH=1 to force per-access
-  // dispatch (schedule points at every element).
+  // TELEPORT_SCALAR_DATAPATH=1 keeps pins from filling, so every access
+  // takes the full dispatch; CI re-runs the explore tier under it to check
+  // that path against the sequential goldens.
   scalar_datapath_ = SwitchFromEnv("TELEPORT_SCALAR_DATAPATH");
-  // TELEPORT_JOURNAL=1 turns on the redo journal (durable pool recovery);
-  // unset/0 preserves the lossy §3.2 crash-restart behavior byte-for-byte.
-  journal_enabled_ = SwitchFromEnv("TELEPORT_JOURNAL");
 }
 
 MemorySystem::PageState& MemorySystem::PS(PageId p) {
-  EnsurePageTables();
   TELEPORT_DCHECK(p < pages_.size()) << "access beyond allocated pages";
   return pages_[p];
 }
@@ -216,7 +213,6 @@ void MemorySystem::ChargeDram(ExecutionContext& ctx, PageId page,
 void MemorySystem::FillPin(ExecutionContext& ctx, PagePin& pin, PageId page) {
   pin.Reset();
   if (scalar_datapath_) return;  // pins never validate: pure scalar dispatch
-  if (page >= pages_.size()) return;
   // The closed-form charge replays ChargeDram's sequential branch, which is
   // only taken while the page occupies one of the context's stream slots.
   PageId* slot = nullptr;
@@ -286,7 +282,6 @@ void MemorySystem::FillPin(ExecutionContext& ctx, PagePin& pin, PageId page) {
 void MemorySystem::LocalTouch(ExecutionContext& ctx, PageId page, uint64_t len,
                               bool write) {
   (void)write;
-  PS(page);  // ensure tables sized (keeps introspection uniform)
   ChargeDram(ctx, page, len);
 }
 
@@ -589,8 +584,7 @@ void MemorySystem::CoherenceComputeFault(ExecutionContext& ctx, PageId page,
   // request in flight for this page, the compute pool loses, satisfies the
   // memory pool, and retries after a backoff.
   if (write && start < s.mem_upgrade_inflight_until) {
-    ctx.clock_.AdvanceTo(s.mem_upgrade_inflight_until +
-                         config_.tiebreak_backoff_ns);
+    ctx.clock_.AdvanceTo(s.mem_upgrade_inflight_until + kTiebreakBackoffNs);
   }
 
   const bool need_data = s.compute_perm == Perm::kNone;

@@ -225,6 +225,11 @@ class MemorySystem {
   bool pushdown_active() const { return pushdown_active_; }
   CoherenceMode coherence_mode() const { return coherence_mode_; }
 
+  /// Backoff a compute-side write fault waits, past the memory side's
+  /// in-flight upgrade, when it loses the §4.1 concurrent write-upgrade
+  /// tiebreak to the memory pool.
+  static constexpr Nanos kTiebreakBackoffNs = 5'000;
+
   /// The syncmem syscall (§4.2): synchronously flushes dirty compute-cached
   /// pages overlapping [addr, addr+len) back to the memory pool. Pages stay
   /// cached read-only clean. A zero-length range flushes nothing.
@@ -334,9 +339,10 @@ class MemorySystem {
 
   /// Forces every access through the per-element scalar dispatch path:
   /// pins never fill, so Load/Store, cursors and spans all charge exactly
-  /// as the pre-extent code did, access by access. Used by the explore
-  /// tier (per-access yield granularity) and the equivalence tests.
-  /// Initialized from the TELEPORT_SCALAR_DATAPATH environment variable.
+  /// as the pre-extent code did, access by access. The equivalence tests
+  /// and CI's scalar re-run of the explore tier use it to check that path
+  /// against the pinned one and the goldens. Initialized from the
+  /// TELEPORT_SCALAR_DATAPATH environment variable.
   void set_scalar_datapath(bool scalar) {
     scalar_datapath_ = scalar;
     InvalidateAllPins();
@@ -409,8 +415,8 @@ class MemorySystem {
   bool AdmitPushdown(ExecutionContext& ctx, uint64_t token, Nanos at,
                      int shard = 0);
 
-  /// Enables the redo journal (also settable via the TELEPORT_JOURNAL
-  /// environment variable). Off by default: today's lossy §3.2 behavior.
+  /// Enables the redo journal. Off by default: the lossy §3.2
+  /// crash-restart behavior.
   void set_journal_enabled(bool on) { journal_enabled_ = on; }
   bool journal_enabled() const { return journal_enabled_; }
   const Journal& journal(int shard = 0) const {
@@ -453,6 +459,10 @@ class MemorySystem {
   PageState& PS(PageId p);
   const PageState& PS(PageId p) const;
 
+  /// Sizes the page table, every cache and every shard to the address
+  /// space. Called where work enters: AccessImpl and the bulk entry points
+  /// (SeedData, BeginPushdownSession, Syncmem, FlushRange,
+  /// ApplyPoolRestartsAt). Page lookups past those points never grow.
   void EnsurePageTables();
 
   /// Charges the DRAM portion of a hit (sequential vs random split).
@@ -630,7 +640,7 @@ class MemorySystem {
   Rng retry_rng_{0x7e1e904u};
   uint64_t lost_pool_writes_ = 0;
   uint64_t recovered_pool_writes_ = 0;
-  /// Redo-journal enable knob (TELEPORT_JOURNAL); applies to every shard.
+  /// Redo-journal switch (set_journal_enabled); applies to every shard.
   bool journal_enabled_ = false;
   /// Pages moved out by the last FlushAllCache(drop=true); consumed by
   /// BulkRefetch to restore the cache in the eager strawman.
@@ -641,6 +651,9 @@ class MemorySystem {
 
 inline void* ExecutionContext::AccessImpl(VAddr addr, uint64_t len,
                                           bool write) {
+  // Every access the pins do not serve enters here, so the first access to
+  // a page allocated since the last growth sizes the tables for it.
+  ms_->EnsurePageTables();
   const uint64_t page_size = ms_->space().page_size();
   PageId page = addr / page_size;
   const PageId last = (addr + len - 1) / page_size;

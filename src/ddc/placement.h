@@ -18,12 +18,14 @@ class LruList {
  public:
   static constexpr uint32_t kNil = 0xffffffffu;
 
+  /// Grows the list to cover pages [0, n). MemorySystem::EnsurePageTables
+  /// sizes every list with the page table, so no other member grows it.
   void EnsureSize(size_t n);
   bool Contains(PageId p) const {
-    return p < in_list_.size() && in_list_[p] != 0;
+    TELEPORT_DCHECK(p < in_list_.size()) << "page " << p << " beyond the table";
+    return in_list_[p] != 0;
   }
   void PushFront(PageId p) {
-    EnsureSize(p + 1);
     TELEPORT_DCHECK(!Contains(p));
     prev_[p] = kNil;
     next_[p] = head_;
@@ -86,7 +88,7 @@ class ComputeCache {
   bool Full() const { return used_ >= capacity_; }
   bool Contains(PageId p) const { return lru_.Contains(p); }
   /// Whether `p`'s CLOCK reference bit is set (only ever on a member page).
-  bool Referenced(PageId p) const { return p < ref_.size() && ref_[p] != 0; }
+  bool Referenced(PageId p) const { return ref_[p] != 0; }
 
   /// Caches `p` as the most recent page, with a clear CLOCK reference bit
   /// however it arrived. The caller makes room first (Victim) when Full().

@@ -77,10 +77,6 @@ struct DdcConfig {
   /// Clock-speed ratio of memory-pool cores vs compute-pool cores.
   double memory_pool_clock_ratio = 1.0;
 
-  /// Backoff wait applied when the compute pool loses the §4.1 concurrent
-  /// write-upgrade tiebreak to the memory pool.
-  Nanos tiebreak_backoff_ns = 5'000;
-
   /// Replacement policy of the compute-pool page cache.
   CachePolicy cache_policy = CachePolicy::kLru;
 

@@ -8,6 +8,9 @@ namespace {
 
 constexpr int64_t kInf = int64_t{1} << 50;
 
+/// Workers the finalize phase partitions vertices over, round-robin (§5.2).
+constexpr uint64_t kWorkers = 8;
+
 }  // namespace
 
 std::string_view PhaseToString(Phase p) {
@@ -29,7 +32,6 @@ GasResult RunGas(ddc::ExecutionContext& ctx, const Graph& g,
   ddc::MemorySystem& ms = ctx.memory_system();
   const uint64_t v_count = g.vertices;
   const uint64_t e_count = g.edges;
-  const int workers = std::max(1, opts.workers);
 
   // Engine state in DDC space.
   const ddc::VAddr values = ms.space().Alloc(v_count * 8, "gas.values");
@@ -61,20 +63,19 @@ GasResult RunGas(ddc::ExecutionContext& ctx, const Graph& g,
   // workers, and shuffle edges into per-worker regions (§5.2).
   run_phase(Phase::kFinalize, [&](ddc::ExecutionContext& c) {
     // Per-worker edge counts (first pass over the CSR).
-    std::vector<uint64_t> worker_edges(static_cast<size_t>(workers), 0);
+    std::vector<uint64_t> worker_edges(kWorkers, 0);
     ddc::Cursor off_cur(c);
     for (uint64_t v = 0; v < v_count; ++v) {
       const int64_t begin = off_cur.Load<int64_t>(g.offsets + v * 8);
       const int64_t end = off_cur.Load<int64_t>(g.offsets + (v + 1) * 8);
-      worker_edges[v % static_cast<uint64_t>(workers)] +=
-          static_cast<uint64_t>(end - begin);
+      worker_edges[v % kWorkers] += static_cast<uint64_t>(end - begin);
       c.ChargeCpu(2);
     }
-    std::vector<uint64_t> cursor(static_cast<size_t>(workers), 0);
+    std::vector<uint64_t> cursor(kWorkers, 0);
     uint64_t base = 0;
-    for (int w = 0; w < workers; ++w) {
-      cursor[static_cast<size_t>(w)] = base;
-      base += worker_edges[static_cast<size_t>(w)];
+    for (uint64_t w = 0; w < kWorkers; ++w) {
+      cursor[w] = base;
+      base += worker_edges[w];
     }
     // Second pass: copy each vertex's edges into its worker's region and
     // initialize vertex state. Each array walks its own cursor; the
@@ -92,7 +93,7 @@ GasResult RunGas(ddc::ExecutionContext& ctx, const Graph& g,
       msg_cur.Store<int64_t>(msgs + v * 8, identity);
       const int64_t begin = off_cur.Load<int64_t>(g.offsets + v * 8);
       const int64_t end = off_cur.Load<int64_t>(g.offsets + (v + 1) * 8);
-      uint64_t& cur = cursor[v % static_cast<uint64_t>(workers)];
+      uint64_t& cur = cursor[v % kWorkers];
       fs_cur.Store<int64_t>(f_start + v * 8, static_cast<int64_t>(cur));
       fd_cur.Store<int64_t>(f_deg + v * 8, end - begin);
       for (int64_t e = begin; e < end; ++e) {

@@ -21,10 +21,9 @@ std::string_view PhaseToString(Phase p);
 using PhaseProfile = tp::PhaseProfile<Phase>;
 
 /// Execution options: which phases to Teleport (§5.2 pushes finalize,
-/// gather, and scatter), and how many workers finalize partitions for.
+/// gather, and scatter).
 struct GasOptions : tp::WrapOptions {
   std::set<Phase> push_phases;
-  int workers = 8;
   int max_iterations = 10'000;
 
   bool ShouldPush(Phase p) const {

@@ -63,13 +63,6 @@ struct KvBuffer {
   uint64_t capacity = 0;
   uint64_t count = 0;
 
-  void Emit(ddc::ExecutionContext& ctx, int64_t key, int64_t value) {
-    TELEPORT_CHECK(count < capacity) << "kv buffer overflow";
-    ctx.Store<int64_t>(addr + count * kPairBytes, key);
-    ctx.Store<int64_t>(addr + count * kPairBytes + 8, value);
-    ++count;
-  }
-
   /// Bump append through a caller-held cursor (sequential output runs).
   void Emit(ddc::Cursor& cur, int64_t key, int64_t value) {
     TELEPORT_CHECK(count < capacity) << "kv buffer overflow";

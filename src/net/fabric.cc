@@ -112,6 +112,11 @@ void Channel::Reset() {
 
 namespace {
 
+/// Retransmission timeout of the transport-level reliability layer: a
+/// dropped message on a non-RPC path (coherence, writebacks, syncmem) is
+/// resent this much later, preserving the reliable-RDMA contract of §4.1.
+constexpr Nanos kLinkRtoNs = 50 * kMicrosecond;
+
 /// Serialization time of `bytes` at `bytes_per_ns`, matching NetTransfer's
 /// truncation so kIdeal and queued single-flow numbers agree byte-for-byte.
 Nanos SerializationNs(uint64_t bytes, double bytes_per_ns) {
@@ -230,7 +235,7 @@ Nanos Fabric::ReliableDeliver(Channel& ch, bool to_memory, Link link,
   // forever; past the cap the transport escalates and delivery succeeds.
   FaultDecision d = injector_->OnSend(kind, t, link, to_memory);
   for (int rexmit = 0; d.dropped && rexmit < 64; ++rexmit) {
-    t += injector_->link_rto_ns();
+    t += kLinkRtoNs;
     const Nanos heal = injector_->HealsAt(t, link.dst);
     if (heal > t) t = heal;
     d = injector_->OnSend(kind, t, link, to_memory);
@@ -391,11 +396,6 @@ void Fabric::DrainQueueStats(sim::Metrics& m) {
   m.netq_sg_segments += pending_.sg_segments;
   m.netq_smartnic_offloads += pending_.smartnic_offloads;
   pending_ = PendingQueueStats{};
-}
-
-bool Fabric::ReachableAt(Nanos now, int memory_node) const {
-  return !HardDownAt(now, memory_node) &&
-         (injector_ == nullptr || injector_->LinkUpAt(now, memory_node));
 }
 
 Nanos Fabric::NextReachableAt(Nanos now, int memory_node) const {

@@ -67,7 +67,7 @@ std::string_view BackendToString(Backend backend);
 /// exactly "ideal", "queued_rdma" or "smartnic"; kIdeal when unset or
 /// empty. Any other value aborts naming the variable and the accepted
 /// values. Read once per Fabric construction, mirroring the
-/// TELEPORT_SCALAR_DATAPATH / TELEPORT_JOURNAL knob pattern.
+/// TELEPORT_SCALAR_DATAPATH knob.
 Backend BackendFromEnv();
 
 class FaultInjector;
@@ -280,11 +280,6 @@ class Fabric {
     fail_from_[CheckedNode(memory_node)] = from;
     fail_until_[CheckedNode(memory_node)] = until;
   }
-
-  /// Heartbeats and pushdowns evaluate reachability at their own send time.
-  /// Considers the injected failure window and any scheduled injector
-  /// outage (link flap / crash-restart) of that node.
-  bool ReachableAt(Nanos now, int memory_node = 0) const;
 
   /// Hard (panic-class) unreachability: an injected failure window,
   /// ignoring injector outages. The §3.2 runtime panics on these; injector

@@ -78,12 +78,6 @@ class FaultInjector {
   void SetSpecAll(const FaultSpec& spec) { specs_.fill(spec); }
   const FaultSpec& spec(MessageKind kind) const { return specs_[Index(kind)]; }
 
-  /// Retransmission timeout of the transport-level reliability layer: a
-  /// dropped message on a non-RPC path (coherence, writebacks, syncmem) is
-  /// resent this much later, preserving the reliable-RDMA contract of §4.1.
-  void set_link_rto_ns(Nanos rto) { link_rto_ns_ = rto; }
-  Nanos link_rto_ns() const { return link_rto_ns_; }
-
   /// Schedules one outage window [from, until) on `node`. `until` must be
   /// > `from`.
   ///
@@ -199,8 +193,6 @@ class FaultInjector {
   std::unordered_map<uint64_t, Rng> streams_;
   std::array<FaultSpec, kNumMessageKinds> specs_{};
   std::vector<NodeTimeline> nodes_;  ///< index = memory node id; grown lazily
-
-  Nanos link_rto_ns_ = 50 * kMicrosecond;
 
   uint64_t drops_ = 0;
   uint64_t duplicates_ = 0;

@@ -54,7 +54,7 @@ namespace teleport::sim {
   X(retries, resilience, retries)           /* RPC attempts after a drop */   \
   X(fallbacks, resilience, fallbacks)       /* pushdowns re-run locally */    \
   X(lost_pool_writes, resilience, lost_pool_writes) /* lost to a restart */   \
-  /* Recovery (PR6 journal/fencing/dedup; zero with TELEPORT_JOURNAL off). */ \
+  /* Recovery (PR6 journal/fencing/dedup; zero with the journal off). */      \
   X(recovered_pool_writes, recovery, recovered_pool_writes)                   \
   X(journal_appends, recovery, journal_appends)   /* redo records written */  \
   X(journal_flushes, recovery, journal_flushes)   /* group-commit batches */  \

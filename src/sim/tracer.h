@@ -128,13 +128,9 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// Attaches a preformatted JSON args fragment to the span.
-  void set_args(std::string args) { args_ = std::move(args); }
-
   ~TraceSpan() {
     if (tracer_ != nullptr) {
-      tracer_->Span(cat_, name_, begin_, clock_->now() - begin_, tid_,
-                    std::move(args_));
+      tracer_->Span(cat_, name_, begin_, clock_->now() - begin_, tid_);
     }
   }
 
@@ -145,7 +141,6 @@ class TraceSpan {
   std::string_view name_;
   int tid_;
   Nanos begin_;
-  std::string args_;
 };
 
 #define TELEPORT_TRACE_CONCAT_INNER(a, b) a##b

@@ -189,7 +189,7 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   const uint64_t token = ++next_token_;
 
   // (1) Pre-pushdown synchronization.
-  uint64_t req_bytes = 128 + flags.arg_bytes;
+  uint64_t req_bytes = kPushdownRequestBytes;
   uint64_t eager_flushed = 0;
   uint64_t resident_count = 0;
   ddc::CoherenceMode session_mode = flags.coherence;
@@ -435,13 +435,13 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   // never re-run); after the retry budget the reliable transport carries it.
   const Nanos resp_sent = mem_ctx->now() + params.context_fixed_ns / 4;
   if (!nic_side) *slot = resp_sent;  // NIC-side probes held no host instance
-  const uint64_t resp_bytes = 128 + flags.result_bytes;
   const RetryResult resp = Retry(
       ms_->fabric(), home, RetryPolicy{}, retry_rng_, resp_sent,
       /*rounds=*/1,
       [&](Nanos t) {
         return ms_->fabric().TrySendToCompute(
-            link, t, resp_bytes, net::MessageKind::kPushdownResponse);
+            link, t, kPushdownResponseBytes,
+            net::MessageKind::kPushdownResponse);
       },
       [&](Nanos t) {
         if (sim::Tracer* tracer = ms_->tracer()) {
@@ -453,10 +453,10 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   const Nanos resp_arrive =
       resp.delivered ? resp.outcome.deliver_at
                      : ms_->fabric().SendToCompute(
-                           link, resp.at, resp_bytes,
+                           link, resp.at, kPushdownResponseBytes,
                            net::MessageKind::kPushdownResponse);
   caller.metrics().net_messages += 1;
-  caller.metrics().net_bytes += resp_bytes;
+  caller.metrics().net_bytes += kPushdownResponseBytes;
   caller.clock().AdvanceTo(resp_arrive);
   ms_->fabric().DrainQueueStats(caller.metrics());
   // Includes the instance-recycle interval so the per-call breakdown sums

@@ -45,6 +45,12 @@ enum class FallbackPolicy : uint8_t {
 
 std::string_view FallbackPolicyToString(FallbackPolicy f);
 
+/// Wire size of a pushdown request before its resident-page list: a
+/// 128-byte header plus fn's serialized argument vector (64 bytes).
+inline constexpr uint64_t kPushdownRequestBytes = 192;
+/// Wire size of a pushdown response: the header plus fn's return payload.
+inline constexpr uint64_t kPushdownResponseBytes = 192;
+
 /// The `flags` argument of the pushdown syscall (§3.1).
 struct PushdownFlags {
   SyncStrategy sync = SyncStrategy::kOnDemand;
@@ -61,13 +67,6 @@ struct PushdownFlags {
   /// Range for SyncStrategy::kEagerRange.
   ddc::VAddr sync_addr = 0;
   uint64_t sync_len = 0;
-
-  /// Approximate serialized size of fn's argument vector (shipped inside
-  /// the request message).
-  uint64_t arg_bytes = 64;
-
-  /// Approximate serialized size of fn's return payload.
-  uint64_t result_bytes = 64;
 
   /// Recovery behavior on timeout or an unreachable-but-restartable pool.
   FallbackPolicy fallback = FallbackPolicy::kNone;
@@ -173,11 +172,6 @@ class PushdownRuntime {
     Status st = Pushdown(caller, tramp, &shim, flags);
     if (shim.eptr) std::rethrow_exception(shim.eptr);
     return st;
-  }
-
-  /// The syncmem syscall (§4.2): manually flush dirty pages of a range.
-  void Syncmem(ddc::ExecutionContext& ctx, ddc::VAddr addr, uint64_t len) {
-    ms_->Syncmem(ctx, addr, len);
   }
 
   /// Background heartbeat check (§3.2): cheap probe of one memory shard's

@@ -1,4 +1,4 @@
-// Chaos recovery (PR6): with TELEPORT_JOURNAL on, a pool crash-restart is
+// Chaos recovery (PR6): with the journal on, a pool crash-restart is
 // survivable — the redo journal replays every acknowledged pool write, the
 // pool epoch fences stale pushdown admissions, and idempotency tokens make
 // duplicated pushdown deliveries exactly-once. Each planted protocol
@@ -6,7 +6,6 @@
 // caught by the model checker's recovery invariant (#6).
 
 #include <cstdint>
-#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -209,41 +208,11 @@ TEST_F(ChaosRecoveryTest, MutationReplayDuplicateIsCaught) {
   EXPECT_GT(checker.Finish(), 0u);  // the duplicate re-applied
 }
 
-// --- TELEPORT_JOURNAL knob. ----------------------------------------------
+// --- Journal switch. -----------------------------------------------------
 
-TEST(JournalKnobTest, EnvironmentVariableEnablesTheJournal) {
-  {
-    ddc::MemorySystem ms(Config(), sim::CostParams::Default(), 16 << 20);
-    EXPECT_FALSE(ms.journal_enabled());  // off by default: lossy legacy mode
-  }
-  ::setenv("TELEPORT_JOURNAL", "1", 1);
-  {
-    ddc::MemorySystem ms(Config(), sim::CostParams::Default(), 16 << 20);
-    EXPECT_TRUE(ms.journal_enabled());
-  }
-  ::setenv("TELEPORT_JOURNAL", "0", 1);
-  {
-    ddc::MemorySystem ms(Config(), sim::CostParams::Default(), 16 << 20);
-    EXPECT_FALSE(ms.journal_enabled());
-  }
-  ::setenv("TELEPORT_JOURNAL", "", 1);
-  {
-    ddc::MemorySystem ms(Config(), sim::CostParams::Default(), 16 << 20);
-    EXPECT_FALSE(ms.journal_enabled());
-  }
-  ::unsetenv("TELEPORT_JOURNAL");
-}
-
-TEST(JournalKnobTest, AnyValueButZeroOrOneAborts) {
-  for (const char* bad : {"false", "true", "yes", "2", "01", " 1"}) {
-    EXPECT_DEATH(
-        {
-          ::setenv("TELEPORT_JOURNAL", bad, 1);
-          ddc::MemorySystem ms(Config(), sim::CostParams::Default(), 16 << 20);
-        },
-        "TELEPORT_JOURNAL.*expected 0 or 1")
-        << bad;
-  }
+TEST(JournalKnobTest, OffByDefault) {
+  ddc::MemorySystem ms(Config(), sim::CostParams::Default(), 16 << 20);
+  EXPECT_FALSE(ms.journal_enabled());  // off by default: lossy legacy mode
 }
 
 // --- Property: N consecutive crash-restart windows. ----------------------

@@ -2,8 +2,11 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <string_view>
 
 #include <gtest/gtest.h>
+
+#include "net/faults.h"
 
 namespace teleport::ddc {
 namespace {
@@ -220,6 +223,56 @@ TEST(MemorySystemTest, ChargeCpuScalesWithPoolClock) {
   EXPECT_NEAR(static_cast<double>(mc->now()),
               2.0 * static_cast<double>(cc->now()),
               static_cast<double>(cc->now()) * 0.01);
+}
+
+// Page lookups never grow the page table; every entry that reaches one
+// grows it first. Each step starts on a region allocated since the last
+// growth, so an entry that skipped it would leave the table short of the
+// address space, and the first lookup past its end would trip the bounds
+// DCHECK in PS() or LruList::Contains.
+TEST(MemorySystemTest, EveryEntryPointGrowsThePageTables) {
+  net::FaultInjector injector(/*seed=*/1);
+  MemorySystem ms(SmallDdc(), sim::CostParams::Default(), 1 << 20);
+  auto ctx = ms.CreateContext(Pool::kCompute);
+  const auto fresh = [&ms] { return ms.space().Alloc(2 * kPage, "fresh"); };
+  const auto expect_grown = [](const MemorySystem& m, std::string_view step) {
+    EXPECT_EQ(m.tracked_pages(), m.space().num_pages()) << step;
+    EXPECT_EQ(m.AuditPlacement(), "") << step;
+  };
+
+  fresh();
+  ms.SeedData();
+  expect_grown(ms, "SeedData");
+  VAddr a = fresh();
+  ms.Syncmem(*ctx, a, 2 * kPage);
+  expect_grown(ms, "Syncmem");
+  a = fresh();
+  ms.FlushRange(*ctx, a, 2 * kPage, /*drop=*/true);
+  expect_grown(ms, "FlushRange");
+  fresh();
+  ms.BeginPushdownSession(CoherenceMode::kMesi);
+  ms.EndPushdownSession();
+  expect_grown(ms, "Begin/EndPushdownSession");
+  fresh();
+  injector.ScheduleCrashRestart(/*at=*/10, /*down_for=*/10);
+  ms.fabric().set_fault_injector(&injector);
+  ms.ApplyPoolRestartsAt(*ctx, /*now=*/100);
+  ms.fabric().set_fault_injector(nullptr);
+  EXPECT_EQ(ms.pool_restarts_applied(), 1);
+  expect_grown(ms, "ApplyPoolRestartsAt");
+  a = fresh();
+  ms.CreateContext(Pool::kMemory)->Load<int64_t>(a + kPage);
+  expect_grown(ms, "memory-pool Load");
+
+  for (const Platform platform :
+       {Platform::kLocal, Platform::kLinuxSsd, Platform::kBaseDdc}) {
+    DdcConfig c = SmallDdc();
+    c.platform = platform;
+    MemorySystem other(c, sim::CostParams::Default(), 1 << 20);
+    const VAddr b = other.space().Alloc(2 * kPage, "fresh");
+    other.CreateContext(Pool::kCompute)->Load<int64_t>(b + kPage);
+    expect_grown(other, PlatformToString(platform));
+  }
 }
 
 }  // namespace

@@ -21,20 +21,19 @@ sim::CostParams Params() { return sim::CostParams::Default(); }
 TEST(FailureWindowTest, SingleArgumentFormIsPermanent) {
   Fabric fabric(Params());
   fabric.InjectFailureWindowOn(0, 5 * kMicrosecond);
-  EXPECT_TRUE(fabric.ReachableAt(0));
-  EXPECT_FALSE(fabric.ReachableAt(5 * kMicrosecond));
-  EXPECT_FALSE(fabric.ReachableAt(1000 * kSecond));
-  EXPECT_EQ(fabric.NextReachableAt(6 * kMicrosecond), Fabric::kNeverHeals);
+  EXPECT_EQ(fabric.NextReachableAt(0), 0);
+  EXPECT_EQ(fabric.NextReachableAt(5 * kMicrosecond), Fabric::kNeverHeals);
+  EXPECT_EQ(fabric.NextReachableAt(1000 * kSecond), Fabric::kNeverHeals);
 }
 
 TEST(FailureWindowTest, FiniteWindowHeals) {
   Fabric fabric(Params());
   fabric.InjectFailureWindowOn(0, 10, 20);
-  EXPECT_TRUE(fabric.ReachableAt(9));
-  EXPECT_FALSE(fabric.ReachableAt(10));
-  EXPECT_FALSE(fabric.ReachableAt(19));
-  EXPECT_TRUE(fabric.ReachableAt(20));
+  EXPECT_EQ(fabric.NextReachableAt(9), 9);
+  EXPECT_EQ(fabric.NextReachableAt(10), 20);
   EXPECT_EQ(fabric.NextReachableAt(15), 20);
+  EXPECT_EQ(fabric.NextReachableAt(19), 20);
+  EXPECT_EQ(fabric.NextReachableAt(20), 20);
   EXPECT_EQ(fabric.NextReachableAt(25), 25);
 }
 
@@ -51,8 +50,8 @@ TEST(FailureWindowTest, HardDownIgnoresInjectorOutages) {
   FaultInjector inj(/*seed=*/1);
   inj.AddOutage(100, 200);
   fabric.set_fault_injector(&inj);
-  EXPECT_FALSE(fabric.ReachableAt(150));  // transient: link down
-  EXPECT_FALSE(fabric.HardDownAt(150));   // ...but not panic-class
+  EXPECT_EQ(fabric.NextReachableAt(150), 200);  // transient: link down
+  EXPECT_FALSE(fabric.HardDownAt(150));         // ...but not panic-class
   fabric.InjectFailureWindowOn(0, 300, 400);
   EXPECT_TRUE(fabric.HardDownAt(350));
 }

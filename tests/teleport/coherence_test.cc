@@ -165,8 +165,7 @@ TEST_F(CoherenceTest, TiebreakFavorsMemoryPool) {
   // the tiebreak: it completes only after the window plus backoff.
   const Nanos before = cc->now();
   cc->Store<int64_t>(PageAddr(10), 2);
-  EXPECT_GE(cc->now(),
-            before + ms_.config().tiebreak_backoff_ns);
+  EXPECT_GE(cc->now(), before + MemorySystem::kTiebreakBackoffNs);
   ms_.CheckSwmrInvariant();
   ms_.EndPushdownSession();
 }
