@@ -20,8 +20,8 @@ class ComputeCache;
 class MemorySystem;
 class PoolShard;
 
-/// One entry of the miniature software TLB used by the extent fast path: a
-/// pinned translation of a single page whose state is known to be a plain
+/// One entry of the software TLB used by the extent fast path: a pinned
+/// translation of a single page whose state is known to be a plain
 /// cache/pool *hit* for the recorded access modes. While the pin is valid, a
 /// same-page access can be charged in closed form (the hit cost of
 /// ChargeDram's sequential branch plus the hit-side bookkeeping) without a
@@ -88,11 +88,16 @@ struct PagePin {
 class ExecutionContext {
  public:
   ExecutionContext(MemorySystem* ms, Pool pool, NodeId node = 0,
-                   TenantId tenant = 0)
-      : ms_(ms), pool_(pool), node_(node), tenant_(tenant) {}
+                   TenantId tenant = 0);
 
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
+
+  /// Direct-mapped slots of the context TLB that serves plain Load, Store,
+  /// ReadRange and the spans: page p can only be pinned in slot
+  /// p % kTlbSlots, so a lookup needs no search and a refill no victim.
+  static constexpr uint64_t kTlbSlots = 8;
+  static_assert((kTlbSlots & (kTlbSlots - 1)) == 0, "a power of two");
 
   Pool pool() const { return pool_; }
   /// Rack placement: the compute-pool client this thread runs on (kCompute)
@@ -111,7 +116,7 @@ class ExecutionContext {
   /// Reads a POD value at `addr`, charging the access.
   template <typename T>
   T Load(VAddr addr) {
-    const void* p = TryPinned(tlb_, addr, sizeof(T), /*write=*/false);
+    const void* p = TryPinned(TlbSlot(addr), addr, sizeof(T), /*write=*/false);
     if (p == nullptr) p = SlowAccess(addr, sizeof(T), /*write=*/false);
     T v;
     std::memcpy(&v, p, sizeof(T));
@@ -121,14 +126,14 @@ class ExecutionContext {
   /// Writes a POD value at `addr`, charging the access.
   template <typename T>
   void Store(VAddr addr, const T& v) {
-    void* p = TryPinned(tlb_, addr, sizeof(T), /*write=*/true);
+    void* p = TryPinned(TlbSlot(addr), addr, sizeof(T), /*write=*/true);
     if (p == nullptr) p = SlowAccess(addr, sizeof(T), /*write=*/true);
     std::memcpy(p, &v, sizeof(T));
   }
 
   /// Charges a read of [addr, addr+len) and returns a host pointer to it.
   const void* ReadRange(VAddr addr, uint64_t len) {
-    const void* p = TryPinned(tlb_, addr, len, /*write=*/false);
+    const void* p = TryPinned(TlbSlot(addr), addr, len, /*write=*/false);
     return p != nullptr ? p : SlowAccess(addr, len, /*write=*/false);
   }
 
@@ -221,12 +226,17 @@ class ExecutionContext {
   void ChargePinnedRun(const PagePin& pin, uint64_t len, uint64_t n,
                        bool write);
   /// Full dispatch plus opportunistic pin refill for the context TLB: the
-  /// pin is (re)filled when the same page misses twice in a row, so random
-  /// access patterns do not pay the refill cost.
+  /// page's slot is (re)filled when the same page misses twice in a row, so
+  /// random access patterns do not pay the refill cost.
   void* SlowAccess(VAddr addr, uint64_t len, bool write);
-  /// Full dispatch plus unconditional pin refill (cursors and spans declare
-  /// sequential intent).
+  /// Full dispatch plus unconditional refill of `pin` with the page of the
+  /// access's last byte (cursors and spans declare sequential intent).
   void* PinnedSlowAccess(PagePin& pin, VAddr addr, uint64_t len, bool write);
+
+  /// The context TLB slot of the page holding `addr`.
+  PagePin& TlbSlot(VAddr addr) {
+    return tlb_[(addr >> page_shift_) & (kTlbSlots - 1)];
+  }
 
   /// The loop of LoadSpan, StoreSpan and Fill: walks `count` elements of T
   /// from `addr` through the context TLB. A run that stays inside a valid
@@ -237,15 +247,19 @@ class ExecutionContext {
     uint64_t i = 0;
     while (i < count) {
       const VAddr a = addr + i * sizeof(T);
+      PagePin& pin = TlbSlot(a);
       uint64_t n = 1;
       void* p;
-      if (yield_fn_ == nullptr && PinnedRunReady(tlb_, a, sizeof(T), write)) {
-        n = std::min<uint64_t>((tlb_.v_hi - a + 1) / sizeof(T), count - i);
-        ChargePinnedRun(tlb_, sizeof(T), n, write);
-        p = tlb_.host + (a - tlb_.v_lo);
+      if (yield_fn_ == nullptr && PinnedRunReady(pin, a, sizeof(T), write)) {
+        n = std::min<uint64_t>((pin.v_hi - a + 1) / sizeof(T), count - i);
+        ChargePinnedRun(pin, sizeof(T), n, write);
+        p = pin.host + (a - pin.v_lo);
       } else {
-        p = TryPinned(tlb_, a, sizeof(T), write);
-        if (p == nullptr) p = PinnedSlowAccess(tlb_, a, sizeof(T), write);
+        p = TryPinned(pin, a, sizeof(T), write);
+        if (p == nullptr) {
+          p = PinnedSlowAccess(TlbSlot(a + sizeof(T) - 1), a, sizeof(T),
+                               write);
+        }
       }
       copy(static_cast<std::byte*>(p), i, n);
       i += n;
@@ -258,8 +272,9 @@ class ExecutionContext {
   TenantId tenant_ = 0;
   sim::VirtualClock clock_;
   sim::Metrics metrics_;
-  /// The context's one-entry translation cache (see PagePin).
-  PagePin tlb_;
+  /// log2 of the space's page size (a power of two): addr >> page_shift_
+  /// is the page of addr.
+  uint32_t page_shift_;
   PageId last_slow_page_ = kNoPage;
   /// Recently touched pages, one per hardware-tracked stream: an access to
   /// a tracked page (or its successor) is stream-like and cheap, anything
@@ -276,6 +291,9 @@ class ExecutionContext {
   Nanos coherence_ns_ = 0;
   YieldFn yield_fn_ = nullptr;
   void* yield_arg_ = nullptr;
+  /// The context TLB (see kTlbSlots and TlbSlot). Last, so the members the
+  /// scalar dispatch reads stay together.
+  PagePin tlb_[kTlbSlots];
 };
 
 /// Sequential accessor carrying its own translation pin. Engine inner loops

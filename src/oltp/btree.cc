@@ -111,8 +111,11 @@ BTree::NodeView BTree::ReadNode(ddc::ExecutionContext& ctx,
     out.is_leaf = leaf != 0;
     out.count = static_cast<int>(count);
     out.next = next;
-    const size_t words =
-        static_cast<size_t>(count) * (leaf != 0 ? 4 : 2);
+    const size_t stride = leaf != 0 ? 4 : 2;
+    const size_t words = static_cast<size_t>(count) * stride;
+    // Room for one more entry, so InsertRec's insert into the snapshot
+    // never reallocates and copies the node.
+    out.words.reserve(words + stride);
     out.words.resize(words);
     if (words > 0) {
       ctx.LoadSpan<uint64_t>(node + kEntries, out.words.data(), words);
@@ -218,8 +221,12 @@ BTree::SplitResult BTree::InsertRec(ddc::ExecutionContext& ctx,
     const ddc::VAddr child = v.words[static_cast<size_t>(ci * 2 + 1)];
     const SplitResult sr = InsertRec(ctx, child, depth + 1, key, slot);
     if (sr.right == 0) return {};
+    // The child insert cannot have changed this node (structural writers
+    // are serialized, and a child split writes only the child and its new
+    // sibling), but the re-read stays: its loads are charged, so dropping it
+    // would move virtual time.
+    v = ReadNode(ctx, node);
     // Insert (sep, right) after the child that split.
-    v = ReadNode(ctx, node);  // re-read: the child insert may have split us? no
     std::vector<uint64_t> words = std::move(v.words);
     const size_t at = static_cast<size_t>(ci + 1) * 2;
     words.insert(words.begin() + static_cast<ptrdiff_t>(at),

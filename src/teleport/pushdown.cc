@@ -402,18 +402,19 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   bd.context_setup_ns = setup_ns;
 
   // (4) Function execution in the home shard's user context, on behalf of
-  // the caller's tenant.
-  auto mem_ctx =
-      ms_->CreateContext(ddc::Pool::kMemory, home, caller.tenant());
-  mem_ctx->clock().Reset(start + setup_ns);
+  // the caller's tenant. The context lives on this frame: it dies with the
+  // call, and one per call on the heap cost a malloc and free each.
+  ddc::ExecutionContext mem_ctx(ms_, ddc::Pool::kMemory, home,
+                                caller.tenant());
+  mem_ctx.clock().Reset(start + setup_ns);
   // The caller's task is blocked on this call: hand its cooperative yield
   // hook to the kernel so memory-side retry loops (seqlock probes racing a
   // structural writer) preempt like the caller would, instead of spinning
   // the schedule into a livelock against a suspended writer.
-  mem_ctx->set_yield_hook(caller.yield_fn(), caller.yield_arg());
-  Status st = fn(*mem_ctx, arg);
-  const Nanos fn_total = mem_ctx->now() - (start + setup_ns);
-  bd.online_sync_ns = mem_ctx->coherence_ns();
+  mem_ctx.set_yield_hook(caller.yield_fn(), caller.yield_arg());
+  Status st = fn(mem_ctx, arg);
+  const Nanos fn_total = mem_ctx.now() - (start + setup_ns);
+  bd.online_sync_ns = mem_ctx.coherence_ns();
   bd.function_exec_ns = fn_total - bd.online_sync_ns;
   if (fn_total > kill_timeout_ns_ && st.ok()) {
     st = Status::Fault(
@@ -424,16 +425,16 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   // is where journal acknowledgement happens, and its appends are charged
   // to mem_ctx. The merge is post-pushdown synchronization, accounted below
   // so the breakdown still sums to the caller's elapsed time.
-  const Nanos merge0 = mem_ctx->now();
-  ms_->EndPushdownSession(mem_ctx.get());
-  const Nanos merge_ns = mem_ctx->now() - merge0;
-  caller.metrics().Add(mem_ctx->metrics());
+  const Nanos merge0 = mem_ctx.now();
+  ms_->EndPushdownSession(&mem_ctx);
+  const Nanos merge_ns = mem_ctx.now() - merge0;
+  caller.metrics().Add(mem_ctx.metrics());
   caller.metrics().pushdown_calls += 1;
 
   // (5) Response transfer; the instance is recycled. A dropped response is
   // retransmitted by the memory side (the function already executed — it is
   // never re-run); after the retry budget the reliable transport carries it.
-  const Nanos resp_sent = mem_ctx->now() + params.context_fixed_ns / 4;
+  const Nanos resp_sent = mem_ctx.now() + params.context_fixed_ns / 4;
   if (!nic_side) *slot = resp_sent;  // NIC-side probes held no host instance
   const RetryResult resp = Retry(
       ms_->fabric(), home, RetryPolicy{}, retry_rng_, resp_sent,
@@ -462,7 +463,7 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   // Includes the instance-recycle interval so the per-call breakdown sums
   // exactly to the caller's observed elapsed time.
   bd.retry_ns += resp.waited;
-  bd.response_transfer_ns = resp_arrive - mem_ctx->now() - resp.waited;
+  bd.response_transfer_ns = resp_arrive - mem_ctx.now() - resp.waited;
 
   // (6) Post-pushdown synchronization.
   const Nanos post0 = caller.now();

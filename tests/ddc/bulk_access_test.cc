@@ -277,7 +277,7 @@ INSTANTIATE_TEST_SUITE_P(
         Case{Platform::kBaseDdc, CoherenceMode::kMesi, false,
              CachePolicy::kLru, /*compute_nodes=*/2}));
 
-// The one-entry TLB on the plain Load/Store path (no cursor, no span) must
+// The context TLB on the plain Load/Store path (no cursor, no span) must
 // also be invisible: a mixed sequential/random scalar program matches the
 // forced-scalar twin exactly.
 TEST(BulkAccessTest, PlainLoadStoreTlbIsInvisible) {
@@ -314,6 +314,119 @@ TEST(BulkAccessTest, PlainLoadStoreTlbIsInvisible) {
     const auto scalar = run(true);
     EXPECT_EQ(bulk.first, scalar.first) << "seed " << seed;
     EXPECT_EQ(bulk.second, scalar.second) << "seed " << seed;
+  }
+}
+
+// Folds every coherence event (kind, page, write, time) into a digest.
+class EventDigest : public CoherenceObserver {
+ public:
+  void OnCoherenceEvent(const CoherenceEvent& ev) override {
+    for (const uint64_t v :
+         {static_cast<uint64_t>(ev.kind), static_cast<uint64_t>(ev.page),
+          static_cast<uint64_t>(ev.write), static_cast<uint64_t>(ev.at)}) {
+      digest = digest * 1099511628211ULL + v;
+    }
+    ++events;
+  }
+  uint64_t digest = 0;
+  uint64_t events = 0;
+};
+
+struct CycleCase {
+  uint64_t pages;   // pages in the cycle
+  uint64_t stride;  // page-number distance between consecutive pages
+  CachePolicy policy;
+  bool observe = false;
+};
+
+// A plain Load/Store program that visits `pages` pages in a fixed cycle,
+// a short burst of accesses per visit. The first access of a burst is a
+// load or a store; a store to a page faulted in read-only takes the
+// read->write upgrade.
+Observed RunCycle(const CycleCase& k, uint64_t seed, bool scalar,
+                  uint64_t* events) {
+  DdcConfig c;
+  c.platform = Platform::kBaseDdc;
+  c.compute_cache_bytes = 4 * kPage;  // pinned pages get evicted
+  c.memory_pool_bytes = 512 * kPage;
+  c.cache_policy = k.policy;
+  MemorySystem ms(c, sim::CostParams::Default(), 4 << 20);
+  if (scalar) ms.set_scalar_datapath(true);
+  const uint64_t span_pages = (k.pages - 1) * k.stride + 1;
+  const VAddr base = ms.space().Alloc(span_pages * kPage, "cycle");
+  ms.SeedData();
+  EventDigest log;
+  if (k.observe) ms.set_coherence_observer(&log);
+  auto ctx = ms.CreateContext(Pool::kCompute);
+  Rng rng(seed);
+  Observed o;
+  for (int round = 0; round < 40; ++round) {
+    for (uint64_t i = 0; i < k.pages; ++i) {
+      const VAddr page = base + i * k.stride * kPage;
+      const uint64_t burst = 1 + rng.Uniform(5);
+      for (uint64_t j = 0; j < burst; ++j) {
+        const VAddr a = page + rng.Uniform(kPage / 8) * 8;
+        if (rng.Bernoulli(0.3)) {
+          ctx->Store<int64_t>(a, static_cast<int64_t>(round * 1000 + j));
+        } else {
+          o.digest = o.digest * 31 +
+                     static_cast<uint64_t>(ctx->Load<int64_t>(a));
+        }
+      }
+    }
+  }
+  ms.set_coherence_observer(nullptr);
+  o.digest = o.digest * 31 + log.digest;
+  *events = log.events;
+  o.compute_now = ctx->now();
+  o.compute_metrics = ctx->metrics().ToString();
+  o.placement_audit = ms.AuditPlacement();
+  return o;
+}
+
+// Pages that share a direct-mapped TLB slot evict each other's pins, the
+// 4-page cache evicts pinned pages, and with more pages than the 8 stream
+// trackers a revisited page has lost its stream slot: every pin must still
+// charge exactly what the scalar dispatch charges. Six pages overflow the
+// cache but not the streams, so an evicted page's pin keeps its stream
+// slot and only its page epoch can refuse it.
+TEST(BulkAccessTest, CollidingTlbSlotsAreInvisible) {
+  constexpr uint64_t kSlots = ExecutionContext::kTlbSlots;
+  std::vector<CycleCase> cases;
+  for (const CachePolicy policy :
+       {CachePolicy::kLru, CachePolicy::kFifo, CachePolicy::kClock}) {
+    for (const uint64_t pages :
+         {uint64_t{3}, uint64_t{6}, kSlots + 1, 2 * kSlots + 1}) {
+      // Adjacent pages (streams advance page to page), pages that all
+      // share one slot, and pages that wrap around the slots once.
+      for (const uint64_t stride : {uint64_t{1}, kSlots, kSlots + 1}) {
+        cases.push_back({pages, stride, policy});
+      }
+    }
+  }
+  cases.push_back({6, kSlots + 1, CachePolicy::kLru, true});
+  cases.push_back({2 * kSlots + 1, 1, CachePolicy::kLru, true});
+  for (const CycleCase& k : cases) {
+    for (const uint64_t seed : {5u, 6u}) {
+      uint64_t bulk_events = 0;
+      uint64_t scalar_events = 0;
+      const Observed bulk = RunCycle(k, seed, false, &bulk_events);
+      const Observed scalar = RunCycle(k, seed, true, &scalar_events);
+      const std::string where =
+          "pages " + std::to_string(k.pages) + " stride " +
+          std::to_string(k.stride) + " policy " +
+          std::to_string(static_cast<int>(k.policy)) + " observe " +
+          std::to_string(k.observe) + " seed " + std::to_string(seed);
+      EXPECT_EQ(bulk.digest, scalar.digest) << where;
+      EXPECT_EQ(bulk.compute_now, scalar.compute_now) << where;
+      EXPECT_EQ(bulk.compute_metrics, scalar.compute_metrics) << where;
+      EXPECT_EQ(bulk.placement_audit, "") << where;
+      EXPECT_EQ(scalar.placement_audit, "") << where;
+      EXPECT_EQ(bulk_events, scalar_events) << where;
+      if (k.observe) {
+        EXPECT_GT(bulk_events, 0u) << where;
+      }
+    }
   }
 }
 
