@@ -4,6 +4,7 @@
 Run from anywhere inside the repository:
 
     python3 bench/ab_compare.py --parent <rev> [--work DIR] [--pairs N]
+        [--workload NAME ...] [--first-seed N]
 
 It exports <rev> with `git archive` into WORK/parent and builds it and the
 working tree (the change, uncommitted edits included) in Release, each in
@@ -21,16 +22,18 @@ program's exit code and stdout, minus the host-time lines HOST_TIME_LINES
 names; every bench record, minus the fields check_records.py ignores
 (wall_ns and trace); and every trace file, byte for byte.
 
-With --pairs N it then runs every perfbench workload, untraced and
-traced, in both trees N times, alternating which tree goes first, with no
-TELEPORT_* variable set. Every run lasts BENCHMARK.json's run_seconds;
-pair i uses seed i (from 1) in both trees. Each run's metrics go to
-WORK/pairs.jsonl as one line (pair, seed, side, workload, trace, metrics)
-as soon as the run ends. For every workload, trace setting and metric it
-prints each side's median and interquartile range, the median of the
-per-pair ratios change/parent, in how many pairs the change was better
-(the direction BENCHMARK.json gives), and in how many the two values were
-identical.
+With --pairs N it then runs every perfbench workload (or only those
+named with --workload, which may repeat), untraced and traced, in both
+trees N times, alternating which tree goes first, with no TELEPORT_*
+variable set. Every run lasts BENCHMARK.json's run_seconds; pair i (from
+1) uses seed first-seed + i - 1 in both trees (--first-seed, default 1),
+so held-out pairs can start past the seeds a claim was made on. Each
+run's metrics go to WORK/pairs.jsonl as one line (pair, seed, side,
+workload, trace, metrics) as soon as the run ends. For every workload,
+trace setting and metric it prints each side's median and interquartile
+range, the median of the per-pair ratios change/parent, in how many pairs
+the change was better (the direction BENCHMARK.json gives), and in how
+many the two values were identical.
 
 Exits nonzero when the trees differ or a program fails to build, and
 with an error when the change tree's sources (every file git tracks or
@@ -210,21 +213,27 @@ def quartiles(xs):
     return q[0], q[2]
 
 
-def run_pairs(trees, work, pairs):
+def run_pairs(trees, work, pairs, only, first_seed):
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
     workloads = [w["name"] for w in spec["workloads"]]
+    unknown = sorted(set(only or ()) - set(workloads))
+    if unknown:
+        sys.exit(f"unknown workload(s): {', '.join(unknown)}")
+    if only:
+        workloads = [w for w in workloads if w in only]
     samples = {}  # (workload, trace, metric) -> {"parent": [...], ...}
     with open(work / "pairs.jsonl", "w") as log:
         for i in range(pairs):
             order = (("parent", "change") if i % 2 == 0 else
                      ("change", "parent"))
+            seed = first_seed + i
             for workload, trace, side in itertools.product(workloads, (0, 1),
                                                            order):
-                m = perfbench(trees[side], workload, i + 1,
+                m = perfbench(trees[side], workload, seed,
                               spec["run_seconds"], trace)
-                log.write(json.dumps({"pair": i + 1, "seed": i + 1,
+                log.write(json.dumps({"pair": i + 1, "seed": seed,
                                       "side": side, "workload": workload,
                                       "trace": trace, "metrics": m}) + "\n")
                 log.flush()
@@ -263,6 +272,11 @@ def main():
                         help="alternating perfbench pairs to run")
     parser.add_argument("--skip-identity", action="store_true",
                         help="only run the perfbench pairs")
+    parser.add_argument("--workload", action="append",
+                        help="run the pairs on this workload only "
+                        "(repeatable; default: every workload)")
+    parser.add_argument("--first-seed", type=int, default=1,
+                        help="seed of the first pair (default 1)")
     args = parser.parse_args()
 
     root = Path(subprocess.run(
@@ -307,7 +321,7 @@ def main():
         print("identical" if not problems else
               f"{len(problems)} difference(s)")
     if args.pairs > 0:
-        run_pairs(trees, work, args.pairs)
+        run_pairs(trees, work, args.pairs, args.workload, args.first_seed)
     if sources_digest(root, work) != built:
         sys.exit(f"{root}: sources changed after they were built, so the "
                  "change side may have run a mix of two trees")
