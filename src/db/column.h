@@ -47,11 +47,6 @@ class Column {
     ctx.Store<int64_t>(addr_ + row * sizeof(int64_t), v);
   }
 
-  /// Timed element write through a caller-held cursor.
-  void Set(ddc::Cursor& cur, uint64_t row, int64_t v) const {
-    cur.Store<int64_t>(addr_ + row * sizeof(int64_t), v);
-  }
-
   /// Untimed host pointer for data generation. Once the generator has
   /// tagged its dataset, a write through it faults (DESIGN.md §5).
   int64_t* raw() {

@@ -1,7 +1,5 @@
 #include "db/operators.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/rng.h"
 
@@ -9,7 +7,7 @@ namespace teleport::db {
 
 namespace {
 
-constexpr uint64_t kSlotBytes = 16;  // {int64 key, int64 row}
+constexpr uint64_t kSlotBytes = 16;  // {int64 key, int64 payload}
 
 uint64_t NextPow2(uint64_t v) {
   uint64_t p = 16;
@@ -18,6 +16,13 @@ uint64_t NextPow2(uint64_t v) {
 }
 
 uint64_t HashKey(int64_t key) { return Mix64(static_cast<uint64_t>(key)); }
+
+/// A dense int64 output array of `rows` rows (at least one slot).
+ddc::VAddr AllocRows(ddc::ExecutionContext& ctx, uint64_t rows,
+                     const std::string& name) {
+  return ctx.memory_system().space().Alloc(std::max<uint64_t>(8, rows * 8),
+                                           name);
+}
 
 /// Iterates candidate rows: calls fn(row) for each row in `cand`, or for
 /// every row in [0, rows) when cand is null. The candidate list itself is
@@ -37,11 +42,31 @@ void ForEachCandidate(ddc::ExecutionContext& ctx, const SelVector* cand,
   }
 }
 
-HashTable AllocHashTable(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
-                         uint64_t n, const std::string& out_name) {
+/// The selection kernel: materializes, in order, every candidate row for
+/// which `match(row)` holds.
+template <typename Match>
+SelVector SelectWhere(ddc::ExecutionContext& ctx, uint64_t rows,
+                      const SelVector* cand, const std::string& out_name,
+                      Match&& match) {
+  SelVector out;
+  out.addr = AllocRows(ctx, cand ? cand->count : rows, out_name);
+  ddc::Cursor out_cur(ctx);
+  ForEachCandidate(ctx, cand, rows, [&](uint64_t row) {
+    if (match(row)) {
+      out_cur.Store<int64_t>(out.addr + out.count * 8,
+                             static_cast<int64_t>(row));
+      ++out.count;
+    }
+  });
+  return out;
+}
+
+HashTable AllocHashTable(ddc::ExecutionContext& ctx, uint64_t n,
+                         const std::string& out_name) {
   HashTable ht;
   ht.slots = NextPow2(std::max<uint64_t>(16, 2 * n));
-  ht.addr = ms.space().Alloc(ht.slots * kSlotBytes, out_name);
+  ht.addr =
+      ctx.memory_system().space().Alloc(ht.slots * kSlotBytes, out_name);
   // Initialize empty sentinels (MonetDB also materializes its hash part).
   ddc::Cursor init_cur(ctx);
   for (uint64_t s = 0; s < ht.slots; ++s) {
@@ -51,51 +76,54 @@ HashTable AllocHashTable(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
   return ht;
 }
 
-void HashInsert(ddc::ExecutionContext& ctx, const HashTable& ht, int64_t key,
-                int64_t row) {
+/// A hash table slot: its address and the key it holds.
+struct Slot {
+  ddc::VAddr addr;
+  int64_t key;
+
+  bool empty() const { return key == HashTable::kEmptyKey; }
+};
+
+/// Linear probing from `key`'s hash slot, each probe charged: returns the
+/// first slot that holds `key` or is empty. The random slots stay on the
+/// plain context path (a cursor's pin would only churn).
+Slot FindSlot(ddc::ExecutionContext& ctx, const HashTable& ht, int64_t key) {
   const uint64_t mask = ht.slots - 1;
-  uint64_t s = HashKey(key) & mask;
-  while (true) {
-    const int64_t existing = ctx.Load<int64_t>(ht.addr + s * kSlotBytes);
+  for (uint64_t s = HashKey(key) & mask;; s = (s + 1) & mask) {
+    const ddc::VAddr addr = ht.addr + s * kSlotBytes;
+    const Slot slot{addr, ctx.Load<int64_t>(addr)};
     ctx.ChargeCpu(3);
-    if (existing == HashTable::kEmptyKey) {
-      ctx.Store<int64_t>(ht.addr + s * kSlotBytes, key);
-      ctx.Store<int64_t>(ht.addr + s * kSlotBytes + 8, row);
-      return;
-    }
-    TELEPORT_DCHECK(existing != key) << "duplicate build key " << key;
-    s = (s + 1) & mask;
+    if (slot.empty() || slot.key == key) return slot;
   }
 }
 
-/// Returns the build row for `key`, or -1.
-int64_t HashLookup(ddc::ExecutionContext& ctx, const HashTable& ht,
-                   int64_t key) {
-  const uint64_t mask = ht.slots - 1;
-  uint64_t s = HashKey(key) & mask;
-  while (true) {
-    const int64_t existing = ctx.Load<int64_t>(ht.addr + s * kSlotBytes);
-    ctx.ChargeCpu(3);
-    if (existing == HashTable::kEmptyKey) return -1;
-    if (existing == key) {
-      return ctx.Load<int64_t>(ht.addr + s * kSlotBytes + 8);
-    }
-    s = (s + 1) & mask;
+/// Reads a JoinKey row by row, one cursor per column, hi before lo.
+class KeyReader {
+ public:
+  KeyReader(ddc::ExecutionContext& ctx, JoinKey key)
+      : key_(key), hi_cur_(ctx), lo_cur_(ctx) {}
+
+  uint64_t rows() const { return key_.hi->rows(); }
+
+  int64_t Get(uint64_t row) {
+    const int64_t hi = key_.hi->Get(hi_cur_, row);
+    if (key_.lo == nullptr) return hi;
+    return hi * key_.shift + key_.lo->Get(lo_cur_, row);
   }
-}
+
+ private:
+  JoinKey key_;
+  ddc::Cursor hi_cur_;
+  ddc::Cursor lo_cur_;
+};
 
 }  // namespace
 
 SelVector SelectCompare(ddc::ExecutionContext& ctx, const Column& col,
                         CmpOp op, int64_t lo, int64_t hi,
                         const SelVector* cand, const std::string& out_name) {
-  ddc::MemorySystem& ms = ctx.memory_system();
-  const uint64_t max_out = cand ? cand->count : col.rows();
-  SelVector out;
-  out.addr = ms.space().Alloc(std::max<uint64_t>(8, max_out * 8), out_name);
   ddc::Cursor col_cur(ctx);
-  ddc::Cursor out_cur(ctx);
-  ForEachCandidate(ctx, cand, col.rows(), [&](uint64_t row) {
+  return SelectWhere(ctx, col.rows(), cand, out_name, [&](uint64_t row) {
     const int64_t v = col.Get(col_cur, row);
     bool match = false;
     switch (op) {
@@ -113,42 +141,25 @@ SelVector SelectCompare(ddc::ExecutionContext& ctx, const Column& col,
         break;
     }
     ctx.ChargeCpu(2);
-    if (match) {
-      out_cur.Store<int64_t>(out.addr + out.count * 8,
-                             static_cast<int64_t>(row));
-      ++out.count;
-    }
+    return match;
   });
-  return out;
 }
 
 SelVector SelectStrContains(ddc::ExecutionContext& ctx,
                             const StringColumn& col, std::string_view needle,
                             const SelVector* cand,
                             const std::string& out_name) {
-  ddc::MemorySystem& ms = ctx.memory_system();
-  const uint64_t max_out = cand ? cand->count : col.rows();
-  SelVector out;
-  out.addr = ms.space().Alloc(std::max<uint64_t>(8, max_out * 8), out_name);
   ddc::Cursor col_cur(ctx);
-  ddc::Cursor out_cur(ctx);
-  ForEachCandidate(ctx, cand, col.rows(), [&](uint64_t row) {
+  return SelectWhere(ctx, col.rows(), cand, out_name, [&](uint64_t row) {
     const std::string_view s = col.Get(col_cur, row);
     ctx.ChargeCpu(col.width());  // byte-wise substring scan
-    if (s.find(needle) != std::string_view::npos) {
-      out_cur.Store<int64_t>(out.addr + out.count * 8,
-                             static_cast<int64_t>(row));
-      ++out.count;
-    }
+    return s.find(needle) != std::string_view::npos;
   });
-  return out;
 }
 
 ddc::VAddr ProjectGather(ddc::ExecutionContext& ctx, const Column& col,
                          const SelVector& sel, const std::string& out_name) {
-  ddc::MemorySystem& ms = ctx.memory_system();
-  const ddc::VAddr out =
-      ms.space().Alloc(std::max<uint64_t>(8, sel.count * 8), out_name);
+  const ddc::VAddr out = AllocRows(ctx, sel.count, out_name);
   ddc::Cursor sel_cur(ctx);
   ddc::Cursor col_cur(ctx);
   ddc::Cursor out_cur(ctx);
@@ -163,9 +174,8 @@ ddc::VAddr ProjectGather(ddc::ExecutionContext& ctx, const Column& col,
   return out;
 }
 
-int64_t AggrSum(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
-                ddc::VAddr values, uint64_t count) {
-  (void)ms;
+int64_t AggrSum(ddc::ExecutionContext& ctx, ddc::VAddr values,
+                uint64_t count) {
   int64_t sum = 0;
   ddc::Cursor cur(ctx);
   for (uint64_t i = 0; i < count; ++i) {
@@ -175,161 +185,47 @@ int64_t AggrSum(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
   return sum;
 }
 
-int64_t AggrSumColumn(ddc::ExecutionContext& ctx, const Column& col,
-                      const SelVector* cand) {
-  int64_t sum = 0;
-  ddc::Cursor col_cur(ctx);
-  ForEachCandidate(ctx, cand, col.rows(), [&](uint64_t row) {
-    sum += col.Get(col_cur, row);
-    ctx.ChargeCpu(1);
-  });
-  return sum;
-}
-
-ddc::VAddr ExprMulScaled(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
-                         ddc::VAddr a, ddc::VAddr b, uint64_t count,
-                         int64_t div, const std::string& out_name) {
-  const ddc::VAddr out =
-      ms.space().Alloc(std::max<uint64_t>(8, count * 8), out_name);
-  ddc::Cursor a_cur(ctx);
-  ddc::Cursor b_cur(ctx);
-  ddc::Cursor out_cur(ctx);
-  for (uint64_t i = 0; i < count; ++i) {
-    const int64_t va = a_cur.Load<int64_t>(a + i * 8);
-    const int64_t vb = b_cur.Load<int64_t>(b + i * 8);
-    out_cur.Store<int64_t>(out + i * 8, va * vb / div);
-    ctx.ChargeCpu(45);  // interpreted BAT passes incl. integer division
-  }
-  return out;
-}
-
-ddc::VAddr ExprRevenue(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
-                       ddc::VAddr price, ddc::VAddr discount, uint64_t count,
-                       const std::string& out_name) {
-  const ddc::VAddr out =
-      ms.space().Alloc(std::max<uint64_t>(8, count * 8), out_name);
-  ddc::Cursor p_cur(ctx);
-  ddc::Cursor d_cur(ctx);
-  ddc::Cursor out_cur(ctx);
-  for (uint64_t i = 0; i < count; ++i) {
-    const int64_t p = p_cur.Load<int64_t>(price + i * 8);
-    const int64_t d = d_cur.Load<int64_t>(discount + i * 8);
-    out_cur.Store<int64_t>(out + i * 8, p * (100 - d) / 100);
-    ctx.ChargeCpu(45);  // interpreted BAT passes incl. integer division
-  }
-  return out;
-}
-
-ddc::VAddr ExprAmount(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
-                      ddc::VAddr price, ddc::VAddr discount, ddc::VAddr cost,
-                      ddc::VAddr quantity, uint64_t count,
-                      const std::string& out_name) {
-  const ddc::VAddr out =
-      ms.space().Alloc(std::max<uint64_t>(8, count * 8), out_name);
-  ddc::Cursor p_cur(ctx);
-  ddc::Cursor d_cur(ctx);
-  ddc::Cursor c_cur(ctx);
-  ddc::Cursor q_cur(ctx);
-  ddc::Cursor out_cur(ctx);
-  for (uint64_t i = 0; i < count; ++i) {
-    const int64_t p = p_cur.Load<int64_t>(price + i * 8);
-    const int64_t d = d_cur.Load<int64_t>(discount + i * 8);
-    const int64_t c = c_cur.Load<int64_t>(cost + i * 8);
-    const int64_t q = q_cur.Load<int64_t>(quantity + i * 8);
-    out_cur.Store<int64_t>(out + i * 8, p * (100 - d) / 100 - c * q);
-    ctx.ChargeCpu(60);  // several BAT passes: two muls, div, subtract
-  }
-  return out;
-}
-
-HashTable HashBuild(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
-                    const Column& keys, const SelVector* cand,
-                    const std::string& out_name) {
-  const uint64_t n = cand ? cand->count : keys.rows();
-  HashTable ht = AllocHashTable(ctx, ms, n, out_name);
-  // Build keys stream sequentially; the table probes stay on the plain
-  // context path (random slots would only churn a pin).
-  ddc::Cursor key_cur(ctx);
+HashTable HashBuild(ddc::ExecutionContext& ctx, const JoinKey& key,
+                    const SelVector* cand, const std::string& out_name) {
+  KeyReader keys(ctx, key);
+  const HashTable ht =
+      AllocHashTable(ctx, cand ? cand->count : keys.rows(), out_name);
   ForEachCandidate(ctx, cand, keys.rows(), [&](uint64_t row) {
-    HashInsert(ctx, ht, keys.Get(key_cur, row), static_cast<int64_t>(row));
+    const int64_t k = keys.Get(row);
+    const Slot slot = FindSlot(ctx, ht, k);
+    TELEPORT_DCHECK(slot.empty()) << "duplicate build key " << k;
+    ctx.Store<int64_t>(slot.addr, k);
+    ctx.Store<int64_t>(slot.addr + 8, static_cast<int64_t>(row));
   });
   return ht;
 }
 
-HashTable HashBuildComposite(ddc::ExecutionContext& ctx,
-                             ddc::MemorySystem& ms, const Column& hi,
-                             const Column& lo, int64_t shift,
-                             const SelVector* cand,
-                             const std::string& out_name) {
-  const uint64_t n = cand ? cand->count : hi.rows();
-  HashTable ht = AllocHashTable(ctx, ms, n, out_name);
-  ddc::Cursor hi_cur(ctx);
-  ddc::Cursor lo_cur(ctx);
-  ForEachCandidate(ctx, cand, hi.rows(), [&](uint64_t row) {
-    const int64_t key = hi.Get(hi_cur, row) * shift + lo.Get(lo_cur, row);
-    HashInsert(ctx, ht, key, static_cast<int64_t>(row));
-  });
-  return ht;
-}
-
-JoinResult HashProbe(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
-                     const Column& probe_keys, const SelVector* cand,
-                     const HashTable& ht, const std::string& out_name) {
-  const uint64_t max_out = cand ? cand->count : probe_keys.rows();
+JoinResult HashProbe(ddc::ExecutionContext& ctx, const JoinKey& key,
+                     const SelVector* cand, const HashTable& ht,
+                     const std::string& out_name) {
+  KeyReader keys(ctx, key);
+  const uint64_t max_out = cand ? cand->count : keys.rows();
   JoinResult out;
-  out.probe_rows =
-      ms.space().Alloc(std::max<uint64_t>(8, max_out * 8), out_name + ".probe");
-  out.build_rows =
-      ms.space().Alloc(std::max<uint64_t>(8, max_out * 8), out_name + ".build");
-  ddc::Cursor key_cur(ctx);
+  out.probe_rows = AllocRows(ctx, max_out, out_name + ".probe");
+  out.build_rows = AllocRows(ctx, max_out, out_name + ".build");
   ddc::Cursor probe_out_cur(ctx);
   ddc::Cursor build_out_cur(ctx);
-  ForEachCandidate(ctx, cand, probe_keys.rows(), [&](uint64_t row) {
-    const int64_t build_row =
-        HashLookup(ctx, ht, probe_keys.Get(key_cur, row));
-    if (build_row >= 0) {
-      probe_out_cur.Store<int64_t>(out.probe_rows + out.count * 8,
-                                   static_cast<int64_t>(row));
-      build_out_cur.Store<int64_t>(out.build_rows + out.count * 8, build_row);
-      ++out.count;
-    }
+  ForEachCandidate(ctx, cand, keys.rows(), [&](uint64_t row) {
+    const Slot slot = FindSlot(ctx, ht, keys.Get(row));
+    if (slot.empty()) return;
+    const int64_t build_row = ctx.Load<int64_t>(slot.addr + 8);
+    probe_out_cur.Store<int64_t>(out.probe_rows + out.count * 8,
+                                 static_cast<int64_t>(row));
+    build_out_cur.Store<int64_t>(out.build_rows + out.count * 8, build_row);
+    ++out.count;
   });
   return out;
 }
 
-JoinResult HashProbeComposite(ddc::ExecutionContext& ctx,
-                              ddc::MemorySystem& ms, const Column& hi,
-                              const Column& lo, int64_t shift,
-                              const SelVector* cand, const HashTable& ht,
-                              const std::string& out_name) {
-  const uint64_t max_out = cand ? cand->count : hi.rows();
-  JoinResult out;
-  out.probe_rows =
-      ms.space().Alloc(std::max<uint64_t>(8, max_out * 8), out_name + ".probe");
-  out.build_rows =
-      ms.space().Alloc(std::max<uint64_t>(8, max_out * 8), out_name + ".build");
-  ddc::Cursor hi_cur(ctx);
-  ddc::Cursor lo_cur(ctx);
-  ddc::Cursor probe_out_cur(ctx);
-  ddc::Cursor build_out_cur(ctx);
-  ForEachCandidate(ctx, cand, hi.rows(), [&](uint64_t row) {
-    const int64_t key = hi.Get(hi_cur, row) * shift + lo.Get(lo_cur, row);
-    const int64_t build_row = HashLookup(ctx, ht, key);
-    if (build_row >= 0) {
-      probe_out_cur.Store<int64_t>(out.probe_rows + out.count * 8,
-                                   static_cast<int64_t>(row));
-      build_out_cur.Store<int64_t>(out.build_rows + out.count * 8, build_row);
-      ++out.count;
-    }
-  });
-  return out;
-}
-
-ddc::VAddr MergeJoinDense(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
-                          const Column& fk, const SelVector& sel,
-                          uint64_t dim_rows, const std::string& out_name) {
-  const ddc::VAddr out =
-      ms.space().Alloc(std::max<uint64_t>(8, sel.count * 8), out_name);
+ddc::VAddr MergeJoinDense(ddc::ExecutionContext& ctx, const Column& fk,
+                          const SelVector& sel, uint64_t dim_rows,
+                          const std::string& out_name) {
+  const ddc::VAddr out = AllocRows(ctx, sel.count, out_name);
   // Both cursors advance monotonically: sel rows ascend, so fk[sel[i]] is
   // non-decreasing (lineitem is physically ordered by l_orderkey), and the
   // dense dimension is its own sorted key.
@@ -349,10 +245,11 @@ ddc::VAddr MergeJoinDense(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
   return out;
 }
 
-ddc::VAddr GroupSumDense(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
-                         ddc::VAddr keys, ddc::VAddr values, uint64_t count,
-                         uint64_t domain, const std::string& out_name) {
-  const ddc::VAddr out = ms.space().Alloc(domain * 8, out_name);
+ddc::VAddr GroupSumDense(ddc::ExecutionContext& ctx, ddc::VAddr keys,
+                         ddc::VAddr values, uint64_t count, uint64_t domain,
+                         const std::string& out_name) {
+  const ddc::VAddr out =
+      ctx.memory_system().space().Alloc(domain * 8, out_name);
   ddc::Cursor key_cur(ctx);
   ddc::Cursor val_cur(ctx);
   ddc::Cursor acc_cur(ctx);
@@ -367,48 +264,30 @@ ddc::VAddr GroupSumDense(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
   return out;
 }
 
-GroupHashResult GroupSumHash(ddc::ExecutionContext& ctx,
-                             ddc::MemorySystem& ms, ddc::VAddr keys,
+GroupHashResult GroupSumHash(ddc::ExecutionContext& ctx, ddc::VAddr keys,
                              ddc::VAddr values, uint64_t count,
                              const std::string& out_name) {
-  GroupHashResult g;
-  g.slots = NextPow2(std::max<uint64_t>(16, 2 * count));
-  g.addr = ms.space().Alloc(g.slots * kSlotBytes, out_name);
-  ddc::Cursor init_cur(ctx);
-  for (uint64_t s = 0; s < g.slots; ++s) {
-    init_cur.Store<int64_t>(g.addr + s * kSlotBytes, HashTable::kEmptyKey);
-  }
-  ctx.ChargeCpu(g.slots);
-  const uint64_t mask = g.slots - 1;
+  GroupHashResult g{AllocHashTable(ctx, count, out_name)};
   ddc::Cursor key_cur(ctx);
   ddc::Cursor val_cur(ctx);
   for (uint64_t i = 0; i < count; ++i) {
     const int64_t k = key_cur.Load<int64_t>(keys + i * 8);
     const int64_t v = val_cur.Load<int64_t>(values + i * 8);
-    uint64_t s = HashKey(k) & mask;
-    while (true) {
-      const int64_t existing = ctx.Load<int64_t>(g.addr + s * kSlotBytes);
-      ctx.ChargeCpu(3);
-      if (existing == HashTable::kEmptyKey) {
-        ctx.Store<int64_t>(g.addr + s * kSlotBytes, k);
-        ctx.Store<int64_t>(g.addr + s * kSlotBytes + 8, v);
-        ++g.groups;
-        break;
-      }
-      if (existing == k) {
-        const ddc::VAddr slot = g.addr + s * kSlotBytes + 8;
-        ctx.Store<int64_t>(slot, ctx.Load<int64_t>(slot) + v);
-        break;
-      }
-      s = (s + 1) & mask;
+    const Slot slot = FindSlot(ctx, g, k);
+    if (slot.empty()) {
+      ctx.Store<int64_t>(slot.addr, k);
+      ctx.Store<int64_t>(slot.addr + 8, v);
+      ++g.groups;
+    } else {
+      const ddc::VAddr sum = slot.addr + 8;
+      ctx.Store<int64_t>(sum, ctx.Load<int64_t>(sum) + v);
     }
   }
   return g;
 }
 
-int64_t ChecksumDenseGroups(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
-                            ddc::VAddr groups, uint64_t domain) {
-  (void)ms;
+int64_t ChecksumDenseGroups(ddc::ExecutionContext& ctx, ddc::VAddr groups,
+                            uint64_t domain) {
   int64_t checksum = 0;
   ddc::Cursor cur(ctx);
   for (uint64_t k = 0; k < domain; ++k) {
@@ -419,9 +298,8 @@ int64_t ChecksumDenseGroups(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
   return checksum;
 }
 
-int64_t ChecksumHashGroups(ddc::ExecutionContext& ctx, ddc::MemorySystem& ms,
+int64_t ChecksumHashGroups(ddc::ExecutionContext& ctx,
                            const GroupHashResult& g) {
-  (void)ms;
   int64_t checksum = 0;
   ddc::Cursor cur(ctx);
   for (uint64_t s = 0; s < g.slots; ++s) {

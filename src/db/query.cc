@@ -15,14 +15,15 @@ class Plan {
   Plan(ddc::ExecutionContext& ctx, const QueryOptions& opts)
       : run_(ctx, opts, "db"), opts_(opts) {}
 
+  /// Runs `body(c)`, which returns the operator's output row count.
   template <typename Fn>
   void Run(const std::string& name, OpKind kind, Fn&& body) {
     const bool pushed = opts_.ShouldPush(name);
-    result_.ops.push_back(
-        {run_.Call(name, pushed, body), name, kind, /*rows_out=*/0, pushed});
+    uint64_t rows_out = 0;
+    const tp::CallCost cost = run_.Call(
+        name, pushed, [&](ddc::ExecutionContext& c) { rows_out = body(c); });
+    result_.ops.push_back({cost, name, kind, rows_out, pushed});
   }
-
-  void SetRowsOut(uint64_t rows) { result_.ops.back().rows_out = rows; }
 
   QueryResult Finish(int64_t checksum) {
     result_.checksum = checksum;
@@ -36,27 +37,16 @@ class Plan {
   QueryResult result_;
 };
 
-}  // namespace
+/// CPU operations per row of a two-input expression: interpreted BAT
+/// passes including an integer division.
+constexpr uint64_t kDivisionCpuOps = 45;
 
-std::string_view OpKindToString(OpKind k) {
-  switch (k) {
-    case OpKind::kSelection:
-      return "Selection";
-    case OpKind::kProjection:
-      return "Projection";
-    case OpKind::kAggregation:
-      return "Aggregation";
-    case OpKind::kHashJoin:
-      return "HashJoin";
-    case OpKind::kMergeJoin:
-      return "MergeJoin";
-    case OpKind::kExpression:
-      return "Expression";
-    case OpKind::kGroupBy:
-      return "GroupBy";
-  }
-  return "Unknown";
+/// Revenue of a line: price * (100 - discount%) / 100.
+int64_t Revenue(int64_t price, int64_t discount) {
+  return price * (100 - discount) / 100;
 }
+
+}  // namespace
 
 const OperatorProfile& QueryResult::Op(std::string_view name) const {
   for (const OperatorProfile& p : ops) {
@@ -68,35 +58,33 @@ const OperatorProfile& QueryResult::Op(std::string_view name) const {
 
 QueryResult RunQFilter(ddc::ExecutionContext& ctx, const TpchDatabase& db,
                        const QueryOptions& opts, int64_t date_bound) {
-  ddc::MemorySystem& ms = ctx.memory_system();
   Plan ex(ctx, opts);
 
   SelVector sel;
   ex.Run("Selection", OpKind::kSelection, [&](ddc::ExecutionContext& c) {
     sel = SelectCompare(c, db.lineitem.Col("l_shipdate"), CmpOp::kLess,
                         date_bound, 0, nullptr, "qf.sel");
+    return sel.count;
   });
-  ex.SetRowsOut(sel.count);
 
   ddc::VAddr quantities = 0;
   ex.Run("Projection", OpKind::kProjection, [&](ddc::ExecutionContext& c) {
     quantities = ProjectGather(c, db.lineitem.Col("l_quantity"), sel,
                                "qf.quantity");
+    return sel.count;
   });
-  ex.SetRowsOut(sel.count);
 
   int64_t sum = 0;
   ex.Run("Aggregation", OpKind::kAggregation, [&](ddc::ExecutionContext& c) {
-    sum = AggrSum(c, ms, quantities, sel.count);
+    sum = AggrSum(c, quantities, sel.count);
+    return 1;
   });
-  ex.SetRowsOut(1);
 
   return ex.Finish(sum);
 }
 
 QueryResult RunQ1(ddc::ExecutionContext& ctx, const TpchDatabase& db,
                   const QueryOptions& opts) {
-  ddc::MemorySystem& ms = ctx.memory_system();
   Plan ex(ctx, opts);
   const int64_t d = kDateDomainDays - 90;  // shipdate <= domain - 90 days
 
@@ -104,8 +92,8 @@ QueryResult RunQ1(ddc::ExecutionContext& ctx, const TpchDatabase& db,
   ex.Run("Selection", OpKind::kSelection, [&](ddc::ExecutionContext& c) {
     sel = SelectCompare(c, db.lineitem.Col("l_shipdate"), CmpOp::kLess, d, 0,
                         nullptr, "q1.sel");
+    return sel.count;
   });
-  ex.SetRowsOut(sel.count);
 
   ddc::VAddr qty = 0, price = 0, disc = 0, flag = 0;
   ex.Run("Projection", OpKind::kProjection, [&](ddc::ExecutionContext& c) {
@@ -114,42 +102,38 @@ QueryResult RunQ1(ddc::ExecutionContext& ctx, const TpchDatabase& db,
                           "q1.price");
     disc = ProjectGather(c, db.lineitem.Col("l_discount"), sel, "q1.disc");
     flag = ProjectGather(c, db.lineitem.Col("l_returnflag"), sel, "q1.flag");
+    return sel.count;
   });
-  ex.SetRowsOut(sel.count);
 
   ddc::VAddr revenue = 0, ones = 0;
   ex.Run("Expression", OpKind::kExpression, [&](ddc::ExecutionContext& c) {
-    revenue = ExprRevenue(c, ms, price, disc, sel.count, "q1.revenue");
-    ones = ms.space().Alloc(std::max<uint64_t>(8, sel.count * 8), "q1.ones");
-    for (uint64_t i = 0; i < sel.count; ++i) {
-      c.Store<int64_t>(ones + i * 8, 1);
-      c.ChargeCpu(1);
-    }
+    revenue = Expr<2>(c, {price, disc}, sel.count, kDivisionCpuOps, Revenue,
+                      "q1.revenue");
+    ones = Expr<0>(c, {}, sel.count, 1, [] { return int64_t{1}; }, "q1.ones");
+    return sel.count;
   });
-  ex.SetRowsOut(sel.count);
 
   constexpr uint64_t kFlags = 3;
   int64_t checksum = 0;
   ex.Run("Aggregation(group)", OpKind::kGroupBy,
          [&](ddc::ExecutionContext& c) {
            const ddc::VAddr sum_qty =
-               GroupSumDense(c, ms, flag, qty, sel.count, kFlags, "q1.g_qty");
-           const ddc::VAddr sum_rev = GroupSumDense(
-               c, ms, flag, revenue, sel.count, kFlags, "q1.g_rev");
-           const ddc::VAddr counts = GroupSumDense(
-               c, ms, flag, ones, sel.count, kFlags, "q1.g_cnt");
-           checksum = ChecksumDenseGroups(c, ms, sum_qty, kFlags) +
-                      ChecksumDenseGroups(c, ms, sum_rev, kFlags) +
-                      ChecksumDenseGroups(c, ms, counts, kFlags);
+               GroupSumDense(c, flag, qty, sel.count, kFlags, "q1.g_qty");
+           const ddc::VAddr sum_rev =
+               GroupSumDense(c, flag, revenue, sel.count, kFlags, "q1.g_rev");
+           const ddc::VAddr counts =
+               GroupSumDense(c, flag, ones, sel.count, kFlags, "q1.g_cnt");
+           checksum = ChecksumDenseGroups(c, sum_qty, kFlags) +
+                      ChecksumDenseGroups(c, sum_rev, kFlags) +
+                      ChecksumDenseGroups(c, counts, kFlags);
+           return kFlags;
          });
-  ex.SetRowsOut(kFlags);
 
   return ex.Finish(checksum);
 }
 
 QueryResult RunQ6(ddc::ExecutionContext& ctx, const TpchDatabase& db,
                   const QueryOptions& opts) {
-  ddc::MemorySystem& ms = ctx.memory_system();
   Plan ex(ctx, opts);
   const int64_t d1 = 2 * kDaysPerYear;  // one TPC-H year
 
@@ -159,8 +143,8 @@ QueryResult RunQ6(ddc::ExecutionContext& ctx, const TpchDatabase& db,
            sel_date = SelectCompare(c, db.lineitem.Col("l_shipdate"),
                                     CmpOp::kRange, d1, d1 + kDaysPerYear - 1,
                                     nullptr, "q6.sel_date");
+           return sel_date.count;
          });
-  ex.SetRowsOut(sel_date.count);
 
   SelVector sel_disc;
   ex.Run("Selection(discount)", OpKind::kSelection,
@@ -168,8 +152,8 @@ QueryResult RunQ6(ddc::ExecutionContext& ctx, const TpchDatabase& db,
            sel_disc = SelectCompare(c, db.lineitem.Col("l_discount"),
                                     CmpOp::kRange, 5, 7, &sel_date,
                                     "q6.sel_disc");
+           return sel_disc.count;
          });
-  ex.SetRowsOut(sel_disc.count);
 
   SelVector sel_qty;
   ex.Run("Selection(quantity)", OpKind::kSelection,
@@ -177,8 +161,8 @@ QueryResult RunQ6(ddc::ExecutionContext& ctx, const TpchDatabase& db,
            sel_qty = SelectCompare(c, db.lineitem.Col("l_quantity"),
                                    CmpOp::kLess, 24, 0, &sel_disc,
                                    "q6.sel_qty");
+           return sel_qty.count;
          });
-  ex.SetRowsOut(sel_qty.count);
 
   ddc::VAddr price = 0, disc = 0;
   ex.Run("Projection", OpKind::kProjection, [&](ddc::ExecutionContext& c) {
@@ -186,28 +170,28 @@ QueryResult RunQ6(ddc::ExecutionContext& ctx, const TpchDatabase& db,
                           "q6.price");
     disc = ProjectGather(c, db.lineitem.Col("l_discount"), sel_qty,
                          "q6.disc");
+    return sel_qty.count;
   });
-  ex.SetRowsOut(sel_qty.count);
 
   ddc::VAddr revenue = 0;
   ex.Run("Expression", OpKind::kExpression, [&](ddc::ExecutionContext& c) {
-    revenue = ExprMulScaled(c, ms, price, disc, sel_qty.count, 100,
-                            "q6.revenue");
+    revenue = Expr<2>(
+        c, {price, disc}, sel_qty.count, kDivisionCpuOps,
+        [](int64_t p, int64_t dc) { return p * dc / 100; }, "q6.revenue");
+    return sel_qty.count;
   });
-  ex.SetRowsOut(sel_qty.count);
 
   int64_t sum = 0;
   ex.Run("Aggregation", OpKind::kAggregation, [&](ddc::ExecutionContext& c) {
-    sum = AggrSum(c, ms, revenue, sel_qty.count);
+    sum = AggrSum(c, revenue, sel_qty.count);
+    return 1;
   });
-  ex.SetRowsOut(1);
 
   return ex.Finish(sum);
 }
 
 QueryResult RunQ3(ddc::ExecutionContext& ctx, const TpchDatabase& db,
                   const QueryOptions& opts) {
-  ddc::MemorySystem& ms = ctx.memory_system();
   Plan ex(ctx, opts);
   const int64_t d = kDateDomainDays / 2;  // the Q3 pivot date
 
@@ -217,26 +201,26 @@ QueryResult RunQ3(ddc::ExecutionContext& ctx, const TpchDatabase& db,
            sel_cust = SelectCompare(c, db.customer.Col("c_mktsegment"),
                                     CmpOp::kEqual, kSegmentBuilding, 0,
                                     nullptr, "q3.sel_cust");
+           return sel_cust.count;
          });
-  ex.SetRowsOut(sel_cust.count);
 
   SelVector sel_ord;
   ex.Run("Selection(orderdate)", OpKind::kSelection,
          [&](ddc::ExecutionContext& c) {
            sel_ord = SelectCompare(c, db.orders.Col("o_orderdate"),
                                    CmpOp::kLess, d, 0, nullptr, "q3.sel_ord");
+           return sel_ord.count;
          });
-  ex.SetRowsOut(sel_ord.count);
 
   JoinResult j_cust;
   ex.Run("HashJoin(customer)", OpKind::kHashJoin,
          [&](ddc::ExecutionContext& c) {
-           const HashTable ht = HashBuild(c, ms, db.customer.Col("c_custkey"),
+           const HashTable ht = HashBuild(c, db.customer.Col("c_custkey"),
                                           &sel_cust, "q3.ht_cust");
-           j_cust = HashProbe(c, ms, db.orders.Col("o_custkey"), &sel_ord, ht,
+           j_cust = HashProbe(c, db.orders.Col("o_custkey"), &sel_ord, ht,
                               "q3.j_cust");
+           return j_cust.count;
          });
-  ex.SetRowsOut(j_cust.count);
 
   SelVector sel_line;
   ex.Run("Selection(shipdate)", OpKind::kSelection,
@@ -244,19 +228,19 @@ QueryResult RunQ3(ddc::ExecutionContext& ctx, const TpchDatabase& db,
            sel_line = SelectCompare(c, db.lineitem.Col("l_shipdate"),
                                     CmpOp::kGreater, d, 0, nullptr,
                                     "q3.sel_line");
+           return sel_line.count;
          });
-  ex.SetRowsOut(sel_line.count);
 
   JoinResult j_ord;
   ex.Run("HashJoin(orders)", OpKind::kHashJoin,
          [&](ddc::ExecutionContext& c) {
            const SelVector matched{j_cust.probe_rows, j_cust.count};
-           const HashTable ht = HashBuild(c, ms, db.orders.Col("o_orderkey"),
+           const HashTable ht = HashBuild(c, db.orders.Col("o_orderkey"),
                                           &matched, "q3.ht_ord");
-           j_ord = HashProbe(c, ms, db.lineitem.Col("l_orderkey"), &sel_line,
-                             ht, "q3.j_ord");
+           j_ord = HashProbe(c, db.lineitem.Col("l_orderkey"), &sel_line, ht,
+                             "q3.j_ord");
+           return j_ord.count;
          });
-  ex.SetRowsOut(j_ord.count);
 
   const SelVector line_rows{j_ord.probe_rows, j_ord.count};
   ddc::VAddr price = 0, disc = 0, okeys = 0;
@@ -267,29 +251,29 @@ QueryResult RunQ3(ddc::ExecutionContext& ctx, const TpchDatabase& db,
                          "q3.disc");
     okeys = ProjectGather(c, db.lineitem.Col("l_orderkey"), line_rows,
                           "q3.okeys");
+    return j_ord.count;
   });
-  ex.SetRowsOut(j_ord.count);
 
   ddc::VAddr revenue = 0;
   ex.Run("Expression", OpKind::kExpression, [&](ddc::ExecutionContext& c) {
-    revenue = ExprRevenue(c, ms, price, disc, j_ord.count, "q3.revenue");
+    revenue = Expr<2>(c, {price, disc}, j_ord.count, kDivisionCpuOps, Revenue,
+                      "q3.revenue");
+    return j_ord.count;
   });
-  ex.SetRowsOut(j_ord.count);
 
-  GroupHashResult groups;
   int64_t checksum = 0;
   ex.Run("GroupBy", OpKind::kGroupBy, [&](ddc::ExecutionContext& c) {
-    groups = GroupSumHash(c, ms, okeys, revenue, j_ord.count, "q3.groups");
-    checksum = ChecksumHashGroups(c, ms, groups);
+    const GroupHashResult groups =
+        GroupSumHash(c, okeys, revenue, j_ord.count, "q3.groups");
+    checksum = ChecksumHashGroups(c, groups);
+    return groups.groups;
   });
-  ex.SetRowsOut(groups.groups);
 
   return ex.Finish(checksum);
 }
 
 QueryResult RunQ9(ddc::ExecutionContext& ctx, const TpchDatabase& db,
                   const QueryOptions& opts) {
-  ddc::MemorySystem& ms = ctx.memory_system();
   Plan ex(ctx, opts);
   constexpr int64_t kCompositeShift = 1 << 20;
 
@@ -298,52 +282,54 @@ QueryResult RunQ9(ddc::ExecutionContext& ctx, const TpchDatabase& db,
          [&](ddc::ExecutionContext& c) {
            sel_part = SelectStrContains(c, db.part.StrCol("p_name"), "green",
                                         nullptr, "q9.sel_part");
+           return sel_part.count;
          });
-  ex.SetRowsOut(sel_part.count);
 
   JoinResult j_part;
   ex.Run("HashJoin(part)", OpKind::kHashJoin, [&](ddc::ExecutionContext& c) {
-    const HashTable ht = HashBuild(c, ms, db.part.Col("p_partkey"), &sel_part,
-                                   "q9.ht_part");
-    j_part = HashProbe(c, ms, db.lineitem.Col("l_partkey"), nullptr, ht,
+    const HashTable ht =
+        HashBuild(c, db.part.Col("p_partkey"), &sel_part, "q9.ht_part");
+    j_part = HashProbe(c, db.lineitem.Col("l_partkey"), nullptr, ht,
                        "q9.j_part");
+    return j_part.count;
   });
-  ex.SetRowsOut(j_part.count);
 
   const SelVector line1{j_part.probe_rows, j_part.count};
   JoinResult j_ps;
   ex.Run("HashJoin(partsupp)", OpKind::kHashJoin,
          [&](ddc::ExecutionContext& c) {
-           const HashTable ht = HashBuildComposite(
-               c, ms, db.partsupp.Col("ps_partkey"),
-               db.partsupp.Col("ps_suppkey"), kCompositeShift, nullptr,
-               "q9.ht_ps");
-           j_ps = HashProbeComposite(c, ms, db.lineitem.Col("l_partkey"),
-                                     db.lineitem.Col("l_suppkey"),
-                                     kCompositeShift, &line1, ht, "q9.j_ps");
+           const HashTable ht = HashBuild(
+               c,
+               {db.partsupp.Col("ps_partkey"), db.partsupp.Col("ps_suppkey"),
+                kCompositeShift},
+               nullptr, "q9.ht_ps");
+           j_ps = HashProbe(c,
+                            {db.lineitem.Col("l_partkey"),
+                             db.lineitem.Col("l_suppkey"), kCompositeShift},
+                            &line1, ht, "q9.j_ps");
+           return j_ps.count;
          });
-  ex.SetRowsOut(j_ps.count);
 
   const SelVector line2{j_ps.probe_rows, j_ps.count};
+  const uint64_t n = j_ps.count;
   JoinResult j_supp;
   ex.Run("HashJoin(supplier)", OpKind::kHashJoin,
          [&](ddc::ExecutionContext& c) {
-           const HashTable ht = HashBuild(c, ms, db.supplier.Col("s_suppkey"),
+           const HashTable ht = HashBuild(c, db.supplier.Col("s_suppkey"),
                                           nullptr, "q9.ht_supp");
-           j_supp = HashProbe(c, ms, db.lineitem.Col("l_suppkey"), &line2, ht,
+           j_supp = HashProbe(c, db.lineitem.Col("l_suppkey"), &line2, ht,
                               "q9.j_supp");
+           return j_supp.count;
          });
-  ex.SetRowsOut(j_supp.count);
 
   ddc::VAddr order_rows = 0;
   ex.Run("MergeJoin(orders)", OpKind::kMergeJoin,
          [&](ddc::ExecutionContext& c) {
-           order_rows = MergeJoinDense(c, ms, db.lineitem.Col("l_orderkey"),
-                                       line2, db.orders.rows, "q9.orows");
+           order_rows = MergeJoinDense(c, db.lineitem.Col("l_orderkey"), line2,
+                                       db.orders.rows, "q9.orows");
+           return n;
          });
-  ex.SetRowsOut(j_ps.count);
 
-  const uint64_t n = j_ps.count;
   ddc::VAddr price = 0, disc = 0, qty = 0, cost = 0, nation = 0, odate = 0;
   ex.Run("Projection", OpKind::kProjection, [&](ddc::ExecutionContext& c) {
     price = ProjectGather(c, db.lineitem.Col("l_extendedprice"), line2,
@@ -359,33 +345,37 @@ QueryResult RunQ9(ddc::ExecutionContext& ctx, const TpchDatabase& db,
     const SelVector o_rows{order_rows, n};
     odate = ProjectGather(c, db.orders.Col("o_orderdate"), o_rows,
                           "q9.odate");
+    return n;
   });
-  ex.SetRowsOut(n);
 
   ddc::VAddr amount = 0, gkeys = 0;
   ex.Run("Expression", OpKind::kExpression, [&](ddc::ExecutionContext& c) {
-    amount = ExprAmount(c, ms, price, disc, cost, qty, n, "q9.amount");
-    // Group key: nation * 8 + year(o_orderdate); 25 nations x 8 years.
-    gkeys = ms.space().Alloc(std::max<uint64_t>(8, n * 8), "q9.gkeys");
-    for (uint64_t i = 0; i < n; ++i) {
-      const int64_t nat = c.Load<int64_t>(nation + i * 8);
-      const int64_t year = c.Load<int64_t>(odate + i * 8) / kDaysPerYear;
-      c.Store<int64_t>(gkeys + i * 8, nat * 8 + year);
-      c.ChargeCpu(14);  // division by days-per-year dominates
-    }
+    // Profit: several BAT passes (two multiplications, a division and a
+    // subtraction).
+    amount = Expr<4>(
+        c, {price, disc, cost, qty}, n, 60,
+        [](int64_t p, int64_t dc, int64_t co, int64_t q) {
+          return Revenue(p, dc) - co * q;
+        },
+        "q9.amount");
+    // Group key: nation * 8 + year(o_orderdate); 25 nations x 8 years. The
+    // division by days-per-year dominates its cost.
+    gkeys = Expr<2>(
+        c, {nation, odate}, n, 14,
+        [](int64_t nat, int64_t od) { return nat * 8 + od / kDaysPerYear; },
+        "q9.gkeys");
+    return n;
   });
-  ex.SetRowsOut(n);
 
   constexpr uint64_t kDomain = 25 * 8;
-  ddc::VAddr groups = 0;
   int64_t checksum = 0;
   ex.Run("Aggregation(group)", OpKind::kGroupBy,
          [&](ddc::ExecutionContext& c) {
-           groups = GroupSumDense(c, ms, gkeys, amount, n, kDomain,
-                                  "q9.groups");
-           checksum = ChecksumDenseGroups(c, ms, groups, kDomain);
+           const ddc::VAddr groups =
+               GroupSumDense(c, gkeys, amount, n, kDomain, "q9.groups");
+           checksum = ChecksumDenseGroups(c, groups, kDomain);
+           return kDomain;
          });
-  ex.SetRowsOut(kDomain);
 
   return ex.Finish(checksum);
 }

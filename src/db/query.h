@@ -25,8 +25,6 @@ enum class OpKind {
   kGroupBy,
 };
 
-std::string_view OpKindToString(OpKind k);
-
 /// Per-operator measurement collected during a query run: the operator
 /// call's cost on the caller (wall time on its virtual clock, remote-memory
 /// traffic, CPU operations), and whether it executed via pushdown. The

@@ -45,12 +45,14 @@ TEST_F(OperatorsEdgeTest, EmptySelectionPropagatesThroughPipeline) {
   EXPECT_EQ(still_none.count, 0u);
   // Projection, aggregation, expression over empty inputs.
   const ddc::VAddr proj = ProjectGather(*ctx_, *col, none, "proj");
-  EXPECT_EQ(AggrSum(*ctx_, *ms_, proj, 0), 0);
-  const ddc::VAddr rev = ExprRevenue(*ctx_, *ms_, proj, proj, 0, "rev");
+  EXPECT_EQ(AggrSum(*ctx_, proj, 0), 0);
+  const ddc::VAddr rev = Expr<2>(
+      *ctx_, {proj, proj}, 0, 45,
+      [](int64_t p, int64_t d) { return p * (100 - d) / 100; }, "rev");
   (void)rev;
-  const GroupHashResult g = GroupSumHash(*ctx_, *ms_, proj, proj, 0, "g");
+  const GroupHashResult g = GroupSumHash(*ctx_, proj, proj, 0, "g");
   EXPECT_EQ(g.groups, 0u);
-  EXPECT_EQ(ChecksumHashGroups(*ctx_, *ms_, g), 0);
+  EXPECT_EQ(ChecksumHashGroups(*ctx_, g), 0);
 }
 
 TEST_F(OperatorsEdgeTest, FullMatchSelectionKeepsEveryRow) {
@@ -58,14 +60,13 @@ TEST_F(OperatorsEdgeTest, FullMatchSelectionKeepsEveryRow) {
   const SelVector all =
       SelectCompare(*ctx_, *col, CmpOp::kEqual, 5, 0, nullptr, "all");
   EXPECT_EQ(all.count, 4u);
-  EXPECT_EQ(AggrSumColumn(*ctx_, *col, &all), 20);
 }
 
 TEST_F(OperatorsEdgeTest, SingleRowTable) {
   auto keys = MakeColumn({42}, "k");
-  const HashTable ht = HashBuild(*ctx_, *ms_, *keys, nullptr, "ht");
+  const HashTable ht = HashBuild(*ctx_, *keys, nullptr, "ht");
   auto probe = MakeColumn({42, 41}, "p");
-  const JoinResult jr = HashProbe(*ctx_, *ms_, *probe, nullptr, ht, "jr");
+  const JoinResult jr = HashProbe(*ctx_, *probe, nullptr, ht, "jr");
   EXPECT_EQ(jr.count, 1u);
   EXPECT_EQ(ctx_->Load<int64_t>(jr.probe_rows), 0);
   EXPECT_EQ(ctx_->Load<int64_t>(jr.build_rows), 0);
@@ -74,26 +75,26 @@ TEST_F(OperatorsEdgeTest, SingleRowTable) {
 TEST_F(OperatorsEdgeTest, EmptyBuildSideMeansNoMatches) {
   auto keys = MakeColumn({7}, "k");
   const SelVector empty{keys->addr(), 0};
-  const HashTable ht = HashBuild(*ctx_, *ms_, *keys, &empty, "ht");
+  const HashTable ht = HashBuild(*ctx_, *keys, &empty, "ht");
   auto probe = MakeColumn({7, 7, 7}, "p");
-  const JoinResult jr = HashProbe(*ctx_, *ms_, *probe, nullptr, ht, "jr");
+  const JoinResult jr = HashProbe(*ctx_, *probe, nullptr, ht, "jr");
   EXPECT_EQ(jr.count, 0u);
 }
 
 TEST_F(OperatorsEdgeTest, ProbeWithEmptyCandidateList) {
   auto keys = MakeColumn({1, 2, 3}, "k");
-  const HashTable ht = HashBuild(*ctx_, *ms_, *keys, nullptr, "ht");
+  const HashTable ht = HashBuild(*ctx_, *keys, nullptr, "ht");
   auto probe = MakeColumn({1, 2, 3}, "p");
   const SelVector empty{probe->addr(), 0};
-  const JoinResult jr = HashProbe(*ctx_, *ms_, *probe, &empty, ht, "jr");
+  const JoinResult jr = HashProbe(*ctx_, *probe, &empty, ht, "jr");
   EXPECT_EQ(jr.count, 0u);
 }
 
 TEST_F(OperatorsEdgeTest, NegativeKeysAndValues) {
   auto keys = MakeColumn({-5, -1000000007, 0, 17}, "k");
-  const HashTable ht = HashBuild(*ctx_, *ms_, *keys, nullptr, "ht");
+  const HashTable ht = HashBuild(*ctx_, *keys, nullptr, "ht");
   auto probe = MakeColumn({-1000000007, -5}, "p");
-  const JoinResult jr = HashProbe(*ctx_, *ms_, *probe, nullptr, ht, "jr");
+  const JoinResult jr = HashProbe(*ctx_, *probe, nullptr, ht, "jr");
   ASSERT_EQ(jr.count, 2u);
   EXPECT_EQ(ctx_->Load<int64_t>(jr.build_rows), 1);
   EXPECT_EQ(ctx_->Load<int64_t>(jr.build_rows + 8), 0);
@@ -102,14 +103,14 @@ TEST_F(OperatorsEdgeTest, NegativeKeysAndValues) {
 TEST_F(OperatorsEdgeTest, MergeJoinEmptySelection) {
   auto fk = MakeColumn({0, 1, 2}, "fk");
   const SelVector empty{fk->addr(), 0};
-  const ddc::VAddr out = MergeJoinDense(*ctx_, *ms_, *fk, empty, 3, "out");
+  const ddc::VAddr out = MergeJoinDense(*ctx_, *fk, empty, 3, "out");
   (void)out;  // allocating an empty result must not crash
 }
 
 TEST_F(OperatorsEdgeTest, GroupSumDenseEmptyInputIsAllZero) {
   auto k = MakeColumn({0}, "k");
   const ddc::VAddr g =
-      GroupSumDense(*ctx_, *ms_, k->addr(), k->addr(), 0, 5, "g");
+      GroupSumDense(*ctx_, k->addr(), k->addr(), 0, 5, "g");
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(ctx_->Load<int64_t>(g + i * 8), 0);
   }
@@ -133,25 +134,10 @@ TEST_F(OperatorsEdgeTest, StrContainsNeedleLongerThanWidth) {
   EXPECT_EQ(sel.count, 0u);
 }
 
-TEST_F(OperatorsEdgeTest, ExprDivisorOne) {
-  auto a = MakeColumn({3, -4}, "a");
-  auto b = MakeColumn({7, 9}, "b");
-  const ddc::VAddr out =
-      ExprMulScaled(*ctx_, *ms_, a->addr(), b->addr(), 2, 1, "out");
-  EXPECT_EQ(ctx_->Load<int64_t>(out), 21);
-  EXPECT_EQ(ctx_->Load<int64_t>(out + 8), -36);
-}
-
-TEST_F(OperatorsEdgeTest, AggrSumColumnEmptyColumnIsZero) {
-  auto col = MakeColumn({9}, "c");
-  const SelVector empty{col->addr(), 0};
-  EXPECT_EQ(AggrSumColumn(*ctx_, *col, &empty), 0);
-}
-
 #ifndef NDEBUG
 TEST_F(OperatorsEdgeTest, DuplicateBuildKeysAbortInDebug) {
   auto keys = MakeColumn({3, 3}, "k");
-  EXPECT_DEATH((void)HashBuild(*ctx_, *ms_, *keys, nullptr, "ht"),
+  EXPECT_DEATH((void)HashBuild(*ctx_, *keys, nullptr, "ht"),
                "duplicate build key");
 }
 
@@ -159,7 +145,7 @@ TEST_F(OperatorsEdgeTest, UnsortedMergeJoinAbortsInDebug) {
   auto fk = MakeColumn({5, 2}, "fk");
   auto rows = MakeColumn({0, 1}, "rows");
   const SelVector sel{rows->addr(), 2};
-  EXPECT_DEATH((void)MergeJoinDense(*ctx_, *ms_, *fk, sel, 10, "out"),
+  EXPECT_DEATH((void)MergeJoinDense(*ctx_, *fk, sel, 10, "out"),
                "not sorted");
 }
 #endif

@@ -111,20 +111,28 @@ TEST_F(OperatorsTest, SumsMatchReference) {
     expect += x;
   }
   auto col = MakeColumn(v, "c");
-  EXPECT_EQ(AggrSum(*ctx_, *ms_, col->addr(), v.size()), expect);
-  EXPECT_EQ(AggrSumColumn(*ctx_, *col, nullptr), expect);
+  EXPECT_EQ(AggrSum(*ctx_, col->addr(), v.size()), expect);
 }
 
 TEST_F(OperatorsTest, ExpressionsComputeElementwise) {
   auto a = MakeColumn({10, 20, 30}, "a");
   auto b = MakeColumn({5, 50, 100}, "b");
   const ddc::VAddr mul =
-      ExprMulScaled(*ctx_, *ms_, a->addr(), b->addr(), 3, 100, "mul");
+      Expr<2>(*ctx_, {a->addr(), b->addr()}, 3, 45,
+              [](int64_t x, int64_t y) { return x * y / 100; }, "mul");
   EXPECT_EQ(ReadArray(mul, 3), (std::vector<int64_t>{0, 10, 30}));
-  const ddc::VAddr rev =
-      ExprRevenue(*ctx_, *ms_, a->addr(), b->addr(), 2, "rev");
   // price * (100 - discount) / 100
-  EXPECT_EQ(ReadArray(rev, 2), (std::vector<int64_t>{10 * 95 / 100, 20 * 50 / 100}));
+  const ddc::VAddr rev = Expr<2>(
+      *ctx_, {a->addr(), b->addr()}, 2, 45,
+      [](int64_t p, int64_t d) { return p * (100 - d) / 100; }, "rev");
+  EXPECT_EQ(ReadArray(rev, 2),
+            (std::vector<int64_t>{10 * 95 / 100, 20 * 50 / 100}));
+}
+
+TEST_F(OperatorsTest, ExprWithoutInputsStoresTheConstant) {
+  const ddc::VAddr ones =
+      Expr<0>(*ctx_, {}, 3, 1, [] { return int64_t{1}; }, "ones");
+  EXPECT_EQ(ReadArray(ones, 3), (std::vector<int64_t>{1, 1, 1}));
 }
 
 TEST_F(OperatorsTest, ExprAmountMatchesFormula) {
@@ -132,8 +140,12 @@ TEST_F(OperatorsTest, ExprAmountMatchesFormula) {
   auto disc = MakeColumn({10}, "d");
   auto cost = MakeColumn({30}, "c");
   auto qty = MakeColumn({5}, "q");
-  const ddc::VAddr out = ExprAmount(*ctx_, *ms_, price->addr(), disc->addr(),
-                                    cost->addr(), qty->addr(), 1, "amt");
+  const ddc::VAddr out = Expr<4>(
+      *ctx_, {price->addr(), disc->addr(), cost->addr(), qty->addr()}, 1, 60,
+      [](int64_t p, int64_t d, int64_t c, int64_t q) {
+        return p * (100 - d) / 100 - c * q;
+      },
+      "amt");
   EXPECT_EQ(ReadArray(out, 1)[0], 1000 * 90 / 100 - 30 * 5);
 }
 
@@ -150,8 +162,8 @@ TEST_F(OperatorsTest, HashJoinMatchesUnorderedMapReference) {
   }
   auto bc = MakeColumn(build_keys, "build");
   auto pc = MakeColumn(probe_keys, "probe");
-  const HashTable ht = HashBuild(*ctx_, *ms_, *bc, nullptr, "ht");
-  const JoinResult jr = HashProbe(*ctx_, *ms_, *pc, nullptr, ht, "jr");
+  const HashTable ht = HashBuild(*ctx_, *bc, nullptr, "ht");
+  const JoinResult jr = HashProbe(*ctx_, *pc, nullptr, ht, "jr");
 
   std::unordered_map<int64_t, int64_t> ref;
   for (size_t i = 0; i < build_keys.size(); ++i) {
@@ -174,10 +186,10 @@ TEST_F(OperatorsTest, CompositeHashJoinRoundTrips) {
   auto lo_b = MakeColumn({7, 8, 9}, "lo_b");
   auto hi_p = MakeColumn({2, 3, 2, 5}, "hi_p");
   auto lo_p = MakeColumn({8, 9, 9, 7}, "lo_p");
-  const HashTable ht = HashBuildComposite(*ctx_, *ms_, *hi_b, *lo_b, 1 << 20,
-                                          nullptr, "ht");
-  const JoinResult jr = HashProbeComposite(*ctx_, *ms_, *hi_p, *lo_p, 1 << 20,
-                                           nullptr, ht, "jr");
+  const HashTable ht =
+      HashBuild(*ctx_, {*hi_b, *lo_b, 1 << 20}, nullptr, "ht");
+  const JoinResult jr =
+      HashProbe(*ctx_, {*hi_p, *lo_p, 1 << 20}, nullptr, ht, "jr");
   // (2,8)->row1, (3,9)->row2; (2,9) and (5,7) miss.
   EXPECT_EQ(ReadArray(jr.probe_rows, jr.count), (std::vector<int64_t>{0, 1}));
   EXPECT_EQ(ReadArray(jr.build_rows, jr.count), (std::vector<int64_t>{1, 2}));
@@ -188,7 +200,7 @@ TEST_F(OperatorsTest, MergeJoinDenseEmitsDimensionRows) {
   auto fk = MakeColumn({0, 0, 3, 3, 7, 9}, "fk");
   auto rows = MakeColumn({0, 2, 3, 5}, "rows");
   const SelVector sel{rows->addr(), 4};
-  const ddc::VAddr out = MergeJoinDense(*ctx_, *ms_, *fk, sel, 10, "out");
+  const ddc::VAddr out = MergeJoinDense(*ctx_, *fk, sel, 10, "out");
   EXPECT_EQ(ReadArray(out, 4), (std::vector<int64_t>{0, 3, 3, 9}));
 }
 
@@ -196,7 +208,7 @@ TEST_F(OperatorsTest, GroupSumDenseMatchesReference) {
   auto keys = MakeColumn({0, 1, 0, 2, 1, 0}, "k");
   auto vals = MakeColumn({5, 7, 11, 13, 17, 19}, "v");
   const ddc::VAddr g =
-      GroupSumDense(*ctx_, *ms_, keys->addr(), vals->addr(), 6, 4, "g");
+      GroupSumDense(*ctx_, keys->addr(), vals->addr(), 6, 4, "g");
   EXPECT_EQ(ReadArray(g, 4), (std::vector<int64_t>{35, 24, 13, 0}));
 }
 
@@ -212,25 +224,25 @@ TEST_F(OperatorsTest, GroupSumHashMatchesMapReference) {
   auto kc = MakeColumn(keys, "k");
   auto vc = MakeColumn(vals, "v");
   const GroupHashResult g =
-      GroupSumHash(*ctx_, *ms_, kc->addr(), vc->addr(), keys.size(), "g");
+      GroupSumHash(*ctx_, kc->addr(), vc->addr(), keys.size(), "g");
   EXPECT_EQ(g.groups, ref.size());
   int64_t expect_checksum = 0;
   for (const auto& [k, v] : ref) {
     expect_checksum += (k + 7) * (v + 1'000'003);
   }
-  EXPECT_EQ(ChecksumHashGroups(*ctx_, *ms_, g), expect_checksum);
+  EXPECT_EQ(ChecksumHashGroups(*ctx_, g), expect_checksum);
 }
 
 TEST_F(OperatorsTest, DenseChecksumIsOrderSensitive) {
   auto k1 = MakeColumn({0, 1}, "k1");
   auto v1 = MakeColumn({10, 20}, "v1");
   const ddc::VAddr g1 =
-      GroupSumDense(*ctx_, *ms_, k1->addr(), v1->addr(), 2, 2, "g1");
+      GroupSumDense(*ctx_, k1->addr(), v1->addr(), 2, 2, "g1");
   auto v2 = MakeColumn({20, 10}, "v2");
   const ddc::VAddr g2 =
-      GroupSumDense(*ctx_, *ms_, k1->addr(), v2->addr(), 2, 2, "g2");
-  EXPECT_NE(ChecksumDenseGroups(*ctx_, *ms_, g1, 2),
-            ChecksumDenseGroups(*ctx_, *ms_, g2, 2));
+      GroupSumDense(*ctx_, k1->addr(), v2->addr(), 2, 2, "g2");
+  EXPECT_NE(ChecksumDenseGroups(*ctx_, g1, 2),
+            ChecksumDenseGroups(*ctx_, g2, 2));
 }
 
 TEST_F(OperatorsTest, OperatorsWorkFromMemoryPoolContext) {
