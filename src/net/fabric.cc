@@ -399,27 +399,16 @@ void Fabric::DrainQueueStats(sim::Metrics& m) {
 }
 
 Nanos Fabric::NextReachableAt(Nanos now, int memory_node) const {
-  const size_t m = CheckedNode(memory_node);
+  // Injector outages may touch end to end, and the node may go down for
+  // good while one lasts.
   Nanos t = now;
-  // Iterate because an injector outage may begin exactly where the injected
-  // failure window ends (and vice versa).
-  for (int iter = 0; iter < 64; ++iter) {
-    if (fail_from_[m] >= 0 && t >= fail_from_[m] &&
-        (fail_until_[m] == kNeverHeals || t < fail_until_[m])) {
-      if (fail_until_[m] == kNeverHeals) return kNeverHeals;
-      t = fail_until_[m];
-      continue;
-    }
-    if (injector_ != nullptr) {
-      const Nanos heal = injector_->HealsAt(t, memory_node);
-      if (heal > t) {
-        t = heal;
-        continue;
-      }
-    }
-    return t;
+  while (!HardDownAt(t, memory_node)) {
+    const Nanos heal =
+        injector_ != nullptr ? injector_->HealsAt(t, memory_node) : -1;
+    if (heal <= t) return t;
+    t = heal;
   }
-  return t;
+  return kNeverHeals;
 }
 
 std::string Fabric::KindBreakdownToString() const {
@@ -474,7 +463,6 @@ void Fabric::Reset() {
   for (Channel& ch : compute_to_memory_) ch.Reset();
   for (Channel& ch : memory_to_compute_) ch.Reset();
   std::fill(fail_from_.begin(), fail_from_.end(), -1);
-  std::fill(fail_until_.begin(), fail_until_.end(), kNeverHeals);
   messages_by_kind_.fill(0);
   bytes_by_kind_.fill(0);
   for (QueueState& qs : q_c2m_) qs = QueueState{};

@@ -148,8 +148,8 @@ class Channel {
 /// memory node.
 class Fabric {
  public:
-  /// Sentinel for a failure window that never heals (permanent pool loss —
-  /// the §3.2 kernel-panic case).
+  /// NextReachableAt's answer for a memory node that is down for good
+  /// (permanent pool loss — the §3.2 kernel-panic case).
   static constexpr Nanos kNeverHeals = -1;
 
   explicit Fabric(const sim::CostParams& params, int compute_nodes = 1,
@@ -162,7 +162,6 @@ class Fabric {
         memory_to_compute_(
             static_cast<size_t>(compute_nodes) * memory_nodes),
         fail_from_(static_cast<size_t>(memory_nodes), -1),
-        fail_until_(static_cast<size_t>(memory_nodes), kNeverHeals),
         backend_(BackendFromEnv()),
         q_c2m_(static_cast<size_t>(compute_nodes) * memory_nodes),
         q_m2c_(static_cast<size_t>(compute_nodes) * memory_nodes),
@@ -265,35 +264,26 @@ class Fabric {
 
   const sim::CostParams& params() const { return params_; }
 
-  /// Failure injection: memory node `memory_node` becomes unreachable on
-  /// the virtual timeline at `from`, healing at `until` (exclusive).
-  /// `until` defaults to kNeverHeals — a permanent failure, the paper's
-  /// panic case. Passing `until <= from` (other than the sentinel) is a
-  /// contract violation and aborts; it historically meant "forever"
-  /// silently.
-  void InjectFailureWindowOn(int memory_node, Nanos from,
-                             Nanos until = kNeverHeals) {
-    TELEPORT_CHECK(until == kNeverHeals || until > from)
-        << "failure window must be either permanent (until == kNeverHeals) "
-           "or a real interval (until > from); got from=" << from
-        << " until=" << until;
+  /// Failure injection: memory node `memory_node` goes down for good at
+  /// `from` on the virtual timeline, the paper's panic case. An outage
+  /// that heals belongs to the FaultInjector (AddOutage,
+  /// ScheduleCrashRestart).
+  void InjectFailureWindowOn(int memory_node, Nanos from) {
     fail_from_[CheckedNode(memory_node)] = from;
-    fail_until_[CheckedNode(memory_node)] = until;
   }
 
-  /// Hard (panic-class) unreachability: an injected failure window,
-  /// ignoring injector outages. The §3.2 runtime panics on these; injector
-  /// outages are transient (flap / restartable node) and are handled by the
-  /// retry layer instead.
+  /// Hard (panic-class) unreachability: the node's injected failure has
+  /// begun. Ignores injector outages: the §3.2 runtime panics on a hard
+  /// failure, while outages are transient (flap / restartable node) and
+  /// are handled by the retry layer instead.
   bool HardDownAt(Nanos now, int memory_node = 0) const {
-    const size_t m = CheckedNode(memory_node);
-    return fail_from_[m] >= 0 && now >= fail_from_[m] &&
-           (fail_until_[m] == kNeverHeals || now < fail_until_[m]);
+    const Nanos from = fail_from_[CheckedNode(memory_node)];
+    return from >= 0 && now >= from;
   }
 
   /// Earliest virtual time >= `now` at which memory node `memory_node` is
   /// reachable again: `now` itself when currently reachable, the end of the
-  /// covering transient window, or kNeverHeals for a permanent failure.
+  /// covering injector outage, or kNeverHeals once the node is hard down.
   /// This is what the §3.2 local-fallback policy consults to distinguish a
   /// restartable pool from a lost one.
   Nanos NextReachableAt(Nanos now, int memory_node = 0) const;
@@ -464,8 +454,8 @@ class Fabric {
   int memory_nodes_ = 1;
   std::vector<Channel> compute_to_memory_;  ///< [src * memory_nodes_ + dst]
   std::vector<Channel> memory_to_compute_;  ///< [src * memory_nodes_ + dst]
-  std::vector<Nanos> fail_from_;            ///< per memory node
-  std::vector<Nanos> fail_until_;           ///< per memory node
+  /// Per memory node: when it goes down for good, or -1.
+  std::vector<Nanos> fail_from_;
   FaultInjector* injector_ = nullptr;
   sim::Tracer* tracer_ = nullptr;
   std::array<uint64_t, kNumMessageKinds> messages_by_kind_{};

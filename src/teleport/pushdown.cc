@@ -416,7 +416,7 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   const Nanos fn_total = mem_ctx.now() - (start + setup_ns);
   bd.online_sync_ns = mem_ctx.coherence_ns();
   bd.function_exec_ns = fn_total - bd.online_sync_ns;
-  if (fn_total > kill_timeout_ns_ && st.ok()) {
+  if (fn_total > kKillTimeoutNs && st.ok()) {
     st = Status::Fault(
         "pushed function exceeded the kill timeout; aborted to unblock the "
         "workqueue (§3.2)");

@@ -179,10 +179,9 @@ class PushdownRuntime {
   /// 1x1 rack — by default).
   Status CheckHeartbeat(ddc::ExecutionContext& ctx, int shard = 0);
 
-  /// Kills pushed functions whose simulated execution exceeds this bound
-  /// (§3.2 "buggy code ... killed by TELEPORT"). Default: 10 virtual
-  /// minutes.
-  void set_kill_timeout(Nanos ns) { kill_timeout_ns_ = ns; }
+  /// A pushed function whose simulated execution exceeds this bound is
+  /// killed (§3.2 "buggy code ... killed by TELEPORT"): 10 virtual minutes.
+  static constexpr Nanos kKillTimeoutNs = 600 * kSecond;
 
   /// Pool-side instances per memory shard.
   int num_instances() const {
@@ -275,7 +274,6 @@ class PushdownRuntime {
   /// shard's backlog never queues a call homed elsewhere (PR7). One shard
   /// degenerates to the single global workqueue.
   std::vector<std::vector<Nanos>> instance_free_;
-  Nanos kill_timeout_ns_ = 600 * kSecond;
   Rng retry_rng_{0x7e1e905u};
   uint64_t retry_events_ = 0;
   uint64_t fallback_calls_ = 0;

@@ -1,7 +1,6 @@
 // FaultInjector unit tests plus the Fabric failure-window contract: an
-// InjectFailureWindowOn without `until` means "permanent" via the
-// kNeverHeals sentinel, and a degenerate interval aborts instead of
-// silently meaning forever.
+// InjectFailureWindowOn takes the node down for good (NextReachableAt
+// answers kNeverHeals), while an outage that heals is the injector's.
 
 #include <cstdint>
 #include <string>
@@ -26,25 +25,6 @@ TEST(FailureWindowTest, SingleArgumentFormIsPermanent) {
   EXPECT_EQ(fabric.NextReachableAt(1000 * kSecond), Fabric::kNeverHeals);
 }
 
-TEST(FailureWindowTest, FiniteWindowHeals) {
-  Fabric fabric(Params());
-  fabric.InjectFailureWindowOn(0, 10, 20);
-  EXPECT_EQ(fabric.NextReachableAt(9), 9);
-  EXPECT_EQ(fabric.NextReachableAt(10), 20);
-  EXPECT_EQ(fabric.NextReachableAt(15), 20);
-  EXPECT_EQ(fabric.NextReachableAt(19), 20);
-  EXPECT_EQ(fabric.NextReachableAt(20), 20);
-  EXPECT_EQ(fabric.NextReachableAt(25), 25);
-}
-
-TEST(FailureWindowDeathTest, EmptyWindowAborts) {
-  Fabric fabric(Params());
-  // `until == from` historically meant "forever" silently; it is now a
-  // contract violation.
-  EXPECT_DEATH(fabric.InjectFailureWindowOn(0, 7, 7), "failure window");
-  EXPECT_DEATH(fabric.InjectFailureWindowOn(0, 7, 3), "failure window");
-}
-
 TEST(FailureWindowTest, HardDownIgnoresInjectorOutages) {
   Fabric fabric(Params());
   FaultInjector inj(/*seed=*/1);
@@ -52,8 +32,20 @@ TEST(FailureWindowTest, HardDownIgnoresInjectorOutages) {
   fabric.set_fault_injector(&inj);
   EXPECT_EQ(fabric.NextReachableAt(150), 200);  // transient: link down
   EXPECT_FALSE(fabric.HardDownAt(150));         // ...but not panic-class
-  fabric.InjectFailureWindowOn(0, 300, 400);
+  fabric.InjectFailureWindowOn(0, 300);
+  EXPECT_FALSE(fabric.HardDownAt(299));
   EXPECT_TRUE(fabric.HardDownAt(350));
+}
+
+TEST(FailureWindowTest, OutagesAreWaitedOutUntilTheNodeIsLost) {
+  Fabric fabric(Params());
+  FaultInjector inj(/*seed=*/1);
+  inj.AddOutage(100, 200);
+  inj.AddOutage(200, 300);  // touches the first
+  fabric.set_fault_injector(&inj);
+  EXPECT_EQ(fabric.NextReachableAt(150), 300);
+  fabric.InjectFailureWindowOn(0, 250);  // lost during the second outage
+  EXPECT_EQ(fabric.NextReachableAt(150), Fabric::kNeverHeals);
 }
 
 TEST(FaultInjectorTest, SeedDeterminism) {

@@ -61,7 +61,9 @@ TEST(RackFabricTest, PerComputeNodeLinksAreIndependentToo) {
 
 TEST(RackFabricTest, PerNodeReachabilityIsIndependent) {
   Fabric fabric(TestParams(), 1, 2);
-  fabric.InjectFailureWindowOn(1, 100, 200);
+  FaultInjector inj(/*seed=*/1);
+  inj.AddOutage(100, 200, /*crash_restart=*/false, /*node=*/1);
+  fabric.set_fault_injector(&inj);
   EXPECT_EQ(fabric.NextReachableAt(150, 0), 150);
   EXPECT_EQ(fabric.NextReachableAt(150, 1), 200);
   fabric.InjectFailureWindowOn(0, 0);  // node 0 lost for good

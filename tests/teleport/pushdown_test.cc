@@ -166,12 +166,20 @@ TEST_F(PushdownTest, HeartbeatOkWhenReachable) {
 
 TEST_F(PushdownTest, KillTimeoutAbortsBuggyFunction) {
   auto caller = ms_.CreateContext(Pool::kCompute);
-  runtime_.set_kill_timeout(1 * kMillisecond);
   const Status st = runtime_.Call(*caller, [](ExecutionContext& ctx) {
-    ctx.AdvanceTime(10 * kMillisecond);  // "infinite loop"
+    ctx.AdvanceTime(PushdownRuntime::kKillTimeoutNs + 1);  // "infinite loop"
     return Status::OK();
   });
   EXPECT_TRUE(st.IsFault());
+}
+
+TEST_F(PushdownTest, FunctionThatEndsOnTheKillTimeoutIsNotKilled) {
+  auto caller = ms_.CreateContext(Pool::kCompute);
+  const Status st = runtime_.Call(*caller, [](ExecutionContext& ctx) {
+    ctx.AdvanceTime(PushdownRuntime::kKillTimeoutNs);
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.ok());
 }
 
 TEST_F(PushdownTest, TimeoutCancelsQueuedRequest) {

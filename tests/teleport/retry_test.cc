@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "net/fabric.h"
+#include "net/faults.h"
 
 namespace teleport::tp {
 namespace {
@@ -97,7 +98,9 @@ TEST(RetryTest, KnownOutageIsWaitedOutBeforeTheRetry) {
   // inside the outage, so it waits until the heal time and goes through.
   net::Fabric fabric(sim::CostParams::Default());
   const Nanos heal = kMillisecond;
-  fabric.InjectFailureWindowOn(0, 0, heal);
+  net::FaultInjector inj(/*seed=*/1);
+  inj.AddOutage(0, heal);
+  fabric.set_fault_injector(&inj);
   const Observed run =
       RunScript(fabric, /*rounds=*/16, /*lose_first=*/0, heal);
   EXPECT_EQ(run.sends, (std::vector<Nanos>{kStart, heal}));
