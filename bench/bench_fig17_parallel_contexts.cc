@@ -33,15 +33,17 @@ int main() {
     // function stalls on coherence round trips for those pages.
     const db::Column& qty = lineitem.Col("l_quantity");
     const uint64_t page_rows = tele.ms->params().page_size / 8;
+    ddc::Cursor dirty(*caller);
     for (uint64_t r = 0; r < shard_rows / 4; r += page_rows) {
-      qty.Set(*caller, r, qty.Get(*caller, r));
+      dirty.Store<int64_t>(qty.addr() + r * 8, qty.Get(dirty, r));
     }
     const Status st = tele.runtime->Call(*caller, [&](ddc::ExecutionContext&
                                                           mem_ctx) {
       // SUM(l_quantity) with a filter over one shard, in the memory pool.
       int64_t sum = 0;
+      ddc::Cursor cur(mem_ctx);
       for (uint64_t r = 0; r < shard_rows; ++r) {
-        const int64_t q = qty.Get(mem_ctx, r);
+        const int64_t q = qty.Get(cur, r);
         if (q < 24) sum += q;
         mem_ctx.ChargeCpu(3);
       }

@@ -349,9 +349,17 @@ BENCHMARK(BM_PushdownCallOverhead);
 // §5), so with `adopt` every iteration but the first stages the same
 // dataset and times its adoption; without it iterations alternate between
 // two seeds, so each one draws its dataset in full.
+//
+// It switches the process to perfbench's malloc settings, so each space
+// reuses the resident host pages of the one before. Under glibc's defaults
+// a space above its 32 MiB mmap threshold ceiling (TPC-H's) is mapped
+// afresh each time and the iteration times its page faults. The kernels
+// registered before the generators keep the defaults.
 template <typename Generate>
 void TimeGenerator(benchmark::State& state, uint64_t bytes, bool adopt,
                    Generate generate) {
+  mallopt(M_MMAP_MAX, 0);
+  mallopt(M_TRIM_THRESHOLD, std::numeric_limits<int>::max());
   ddc::DdcConfig local;
   local.platform = ddc::Platform::kLocal;
   // Counts on across the repeated runs google-benchmark makes of a kernel,
@@ -424,6 +432,20 @@ void BM_GenerateTpchAdopted(benchmark::State& state) {
 BENCHMARK(BM_GenerateTpch)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GenerateTpchAdopted)->Unit(benchmark::kMillisecond);
 
+// One jump of the generators' chunked draws (Rng::Advance): O(log n)
+// squarings mod the characteristic polynomial, then 256 steps.
+void BM_RngAdvance(benchmark::State& state) {
+  Rng rng(1);
+  const auto n = static_cast<uint64_t>(state.range(0));
+  for (auto _ : state) {
+    rng.Advance(n);
+    benchmark::DoNotOptimize(rng);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+// TPC-H SF 6's lineitem draws about 2^21.3 values; 2^44 is far beyond any.
+BENCHMARK(BM_RngAdvance)->Arg(1 << 21)->Arg(int64_t{1} << 44);
+
 // The text generator's word draw: one uniform double and one Zipf sample.
 void BM_ZipfSample(benchmark::State& state) {
   const ZipfGenerator zipf(20'000, 0.8);
@@ -440,8 +462,8 @@ BENCHMARK(BM_ZipfSample);
 // space), a B+-tree with a 512-page arena, 256 preloaded keys, SeedData.
 // The tear-down is untimed. It switches the process to perfbench's malloc
 // settings, so each build reuses the resident host pages of the one
-// before, as perfbench's builds do; registered last, it leaves the other
-// kernels' settings alone.
+// before, as perfbench's builds do; the generator kernels before it set
+// them too, and the kernels before those keep glibc's defaults.
 void BM_BuildYcsbTable(benchmark::State& state) {
   mallopt(M_MMAP_MAX, 0);
   mallopt(M_TRIM_THRESHOLD, std::numeric_limits<int>::max());

@@ -10,11 +10,14 @@
 // Speedup gates self-calibrate to the host: this container may expose a
 // single core, where parallel runs legitimately show ~1x; the floor is
 // enforced only when std::thread::hardware_concurrency() provides the
-// cores (or TELEPORT_PAR_FLOOR forces a value).
+// cores (or TELEPORT_PAR_FLOOR forces a value). The speedup compares each
+// side's fastest of three alternating runs.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -154,14 +157,28 @@ int main() {
   bench::SuiteConfig par_cfg = scale;
   par_cfg.host_threads = 8;
 
-  bench::WallTimer wall;
-  const auto suite_t1 = bench::RunSuite(serial_cfg);
-  const Nanos suite_t1_wall = wall.ElapsedNs();
-  wall.Reset();
-  const auto suite_t8 = bench::RunSuite(par_cfg);
-  const Nanos suite_t8_wall = wall.ElapsedNs();
-
-  const bool suite_same = SameSuite(suite_t1, suite_t8);
+  // The two suites run alternately, the first one switching each round,
+  // and each side counts its fastest run: other tenants of a shared host
+  // only ever slow a run down, and a slow spell then hits both sides.
+  // Every run must give the first run's results.
+  constexpr int kRounds = 3;
+  std::vector<bench::WorkloadTimes> suite_t1;
+  Nanos suite_t1_wall = std::numeric_limits<Nanos>::max();
+  Nanos suite_t8_wall = std::numeric_limits<Nanos>::max();
+  bool suite_same = true;
+  for (int round = 0; round < kRounds; ++round) {
+    for (const bool serial : {round % 2 == 0, round % 2 != 0}) {
+      bench::WallTimer wall;
+      const auto times = bench::RunSuite(serial ? serial_cfg : par_cfg);
+      Nanos& fastest = serial ? suite_t1_wall : suite_t8_wall;
+      fastest = std::min(fastest, wall.ElapsedNs());
+      if (suite_t1.empty()) {
+        suite_t1 = times;
+      } else {
+        suite_same &= SameSuite(suite_t1, times);
+      }
+    }
+  }
   ok &= suite_same;
   Nanos suite_virtual = 0;
   for (const auto& w : suite_t1) {
@@ -169,9 +186,9 @@ int main() {
   }
   const double suite_speedup = Speedup(suite_t1_wall, suite_t8_wall);
   std::printf("suite (24 legs): t1 %.2fs  t8 %.2fs  speedup %.2fx  "
-              "results %s\n",
+              "results %s (fastest of %d alternating runs each)\n",
               suite_t1_wall / 1e9, suite_t8_wall / 1e9, suite_speedup,
-              suite_same ? "identical" : "DIVERGED");
+              suite_same ? "identical" : "DIVERGED", kRounds);
   bench::EmitBenchRecord({"pr10_parallel", "suite_t1", "LegRunner",
                           suite_virtual, suite_t1_wall, 0, ""});
   bench::EmitBenchRecord({"pr10_parallel", "suite_t8", "LegRunner",

@@ -31,20 +31,10 @@ class Column {
   ddc::VAddr addr() const { return addr_; }
   uint64_t bytes() const { return rows_ * sizeof(int64_t); }
 
-  /// Timed element read.
-  int64_t Get(ddc::ExecutionContext& ctx, uint64_t row) const {
-    return ctx.Load<int64_t>(addr_ + row * sizeof(int64_t));
-  }
-
   /// Timed element read through a caller-held cursor (operator inner loops
   /// walking this column keep its page pinned across iterations).
   int64_t Get(ddc::Cursor& cur, uint64_t row) const {
     return cur.Load<int64_t>(addr_ + row * sizeof(int64_t));
-  }
-
-  /// Timed element write.
-  void Set(ddc::ExecutionContext& ctx, uint64_t row, int64_t v) const {
-    ctx.Store<int64_t>(addr_ + row * sizeof(int64_t), v);
   }
 
   /// Untimed host pointer for data generation. Once the generator has
@@ -82,16 +72,18 @@ class StringColumn {
   ddc::VAddr addr() const { return addr_; }
   uint64_t bytes() const { return rows_ * width_; }
 
-  /// Timed row read; the returned view is valid until the next allocation.
-  std::string_view Get(ddc::ExecutionContext& ctx, uint64_t row) const {
-    const void* p = ctx.ReadRange(addr_ + row * width_, width_);
-    return std::string_view(static_cast<const char*>(p), width_);
-  }
-
-  /// Timed row read through a caller-held cursor.
+  /// Timed row read through a caller-held cursor; the returned view is
+  /// valid until the next allocation.
   std::string_view Get(ddc::Cursor& cur, uint64_t row) const {
     const void* p = cur.ReadRange(addr_ + row * width_, width_);
     return std::string_view(static_cast<const char*>(p), width_);
+  }
+
+  /// Untimed host pointer for data generation: row r is the width() bytes
+  /// from raw() + r * width(). Once the generator has tagged its dataset,
+  /// a write through it faults (DESIGN.md §5).
+  char* raw() {
+    return static_cast<char*>(ms_->space().HostPtr(addr_, bytes()));
   }
 
   /// Untimed host write for data generation (truncates/pads to width).

@@ -141,16 +141,15 @@ const MemorySystem::PageState& MemorySystem::PS(PageId p) const {
   return pages_[p];
 }
 
-void MemorySystem::EnsurePageTables() {
+void MemorySystem::GrowPageTables() {
   const uint64_t n = space_.num_pages();
-  if (pages_.size() < n) {
-    pages_.resize(n);
-    for (ComputeCache& c : caches_) c.EnsureSize(n);
-    for (PoolShard& sh : shards_) sh.EnsureSize(n);
-    // pages_ may have reallocated: every PageState pointer held by a pin is
-    // dangling. Unconditional (memory safety, not protocol).
-    InvalidateAllPins();
-  }
+  pages_.resize(n);
+  table_bytes_ = n * space_.page_size();
+  for (ComputeCache& c : caches_) c.EnsureSize(n);
+  for (PoolShard& sh : shards_) sh.EnsureSize(n);
+  // pages_ may have reallocated: every PageState pointer held by a pin is
+  // dangling. Unconditional (memory safety, not protocol).
+  InvalidateAllPins();
 }
 
 void MemorySystem::SeedData() {

@@ -464,7 +464,13 @@ class MemorySystem {
   /// space. Called where work enters: AccessImpl and the bulk entry points
   /// (SeedData, BeginPushdownSession, Syncmem, FlushRange,
   /// ApplyPoolRestartsAt). Page lookups past those points never grow.
-  void EnsurePageTables();
+  /// Inline, since every scalar dispatch calls it and it rarely grows
+  /// anything; the space's used bytes are page-aligned, so it compares
+  /// them with the bytes the tables cover and divides nothing.
+  void EnsurePageTables() {
+    if (space_.used_bytes() > table_bytes_) GrowPageTables();
+  }
+  void GrowPageTables();
 
   /// Charges the DRAM portion of a hit (sequential vs random split).
   void ChargeDram(ExecutionContext& ctx, PageId page, uint64_t len);
@@ -610,6 +616,8 @@ class MemorySystem {
   net::Fabric fabric_;
 
   std::vector<PageState> pages_;
+  /// pages_.size() times the page size: the bytes the page tables cover.
+  uint64_t table_bytes_ = 0;
   std::vector<ComputeCache> caches_;  ///< one per compute client
   std::vector<PoolShard> shards_;     ///< one per memory shard
   uint64_t pages_per_shard_;          ///< block-partition stride

@@ -94,9 +94,10 @@ TEST_F(TpchTest, ShipdateFollowsOrderdateWithinDomain) {
 TEST_F(TpchTest, GreenPartsAreASelectiveFraction) {
   const StringColumn& name = db_->part.StrCol("p_name");
   auto ctx = ms_.CreateContext(ddc::Pool::kCompute);
+  ddc::Cursor cur(*ctx);
   uint64_t green = 0;
   for (uint64_t i = 0; i < db_->part.rows; ++i) {
-    if (name.Get(*ctx, i).find("green") != std::string_view::npos) ++green;
+    if (name.Get(cur, i).find("green") != std::string_view::npos) ++green;
   }
   const double frac =
       static_cast<double>(green) / static_cast<double>(db_->part.rows);
