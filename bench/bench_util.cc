@@ -301,17 +301,12 @@ void RunLegs(const std::vector<std::function<void()>>& legs,
              int host_threads) {
   if (host_threads <= 0) host_threads = sim::HostThreadsFromEnv();
   std::vector<std::string> buffers(legs.size());
-  std::vector<std::function<void()>> jobs;
-  jobs.reserve(legs.size());
-  for (size_t i = 0; i < legs.size(); ++i) {
-    jobs.push_back([&legs, &buffers, i] {
-      std::string* prev = t_bench_sink;  // the calling thread may be a leg
-      t_bench_sink = &buffers[i];        // of an enclosing RunLegs
-      legs[i]();
-      t_bench_sink = prev;
-    });
-  }
-  sim::LegRunner(host_threads).Run(jobs);
+  sim::LegRunner(host_threads).Run(legs.size(), [&legs, &buffers](size_t i) {
+    std::string* prev = t_bench_sink;  // the calling thread may be a leg
+    t_bench_sink = &buffers[i];        // of an enclosing RunLegs
+    legs[i]();
+    t_bench_sink = prev;
+  });
   for (const std::string& buf : buffers) AppendBenchOutput(buf);
 }
 
