@@ -1,18 +1,22 @@
 // Google-benchmark micro-kernels for the simulator itself: host-side
 // throughput of the access path, the coherence fault path, RLE encoding,
-// the interleaver, the dataset generators and the OLTP table build. These
-// guard the *simulator's* performance (how much real time a simulated
-// access costs), which bounds how large a scaled experiment can be.
+// the interleaver, the dataset generators, a db query plan and the OLTP
+// table build. These guard the *simulator's* performance (how much real
+// time a simulated access costs), which bounds how large a scaled
+// experiment can be.
 
 #include <malloc.h>
+#include <sched.h>
 
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include <benchmark/benchmark.h>
 
 #include "common/rle.h"
 #include "common/rng.h"
+#include "db/query.h"
 #include "db/tpch.h"
 #include "ddc/memory_system.h"
 #include "graph/graph.h"
@@ -397,6 +401,24 @@ void BM_GenerateTextAdopted(benchmark::State& state) {
 BENCHMARK(BM_GenerateText)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GenerateTextAdopted)->Unit(benchmark::kMillisecond);
 
+// BM_GenerateText with the calling thread held to the CPU it runs on: the
+// generator's chunk pool then has one thread, which draws every chunk in
+// place, in order. The thread's affinity is restored afterwards.
+void BM_GenerateTextOneCpu(benchmark::State& state) {
+  cpu_set_t saved{};
+  cpu_set_t one{};
+  const int cpu = sched_getcpu();
+  if (cpu >= 0) CPU_SET(cpu, &one);
+  if (cpu < 0 || sched_getaffinity(0, sizeof(saved), &saved) != 0 ||
+      sched_setaffinity(0, sizeof(one), &one) != 0) {
+    state.SkipWithError("cannot hold the thread to one CPU");
+    return;
+  }
+  GenerateText(state, false);
+  sched_setaffinity(0, sizeof(saved), &saved);
+}
+BENCHMARK(BM_GenerateTextOneCpu)->Unit(benchmark::kMillisecond);
+
 void GenerateGraph(benchmark::State& state, bool adopt) {
   graph::GraphConfig gc;
   gc.vertices = 50'000;
@@ -454,6 +476,48 @@ void BM_ZipfSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ZipfSample);
+
+// --- A db query plan -------------------------------------------------------
+
+// One Q9 plan on a BaseDDC deployment of TPC-H SF 0.5, shaped as fig13's db
+// legs are (a compute cache of 2% of the dataset, a pool of 8 times it):
+// the db engine's operators, the context fast path and the cache, which
+// fig13's db legs time too coarsely to resolve a change to them. The
+// dataset is staged once before the timed loop; every iteration builds a
+// fresh deployment that adopts it, untimed, and times the query alone. It
+// switches the process to perfbench's malloc settings, as the kernels
+// before it do.
+void BM_Q9Plan(benchmark::State& state) {
+  mallopt(M_MMAP_MAX, 0);
+  mallopt(M_TRIM_THRESHOLD, std::numeric_limits<int>::max());
+  db::TpchConfig cfg;
+  cfg.scale_factor = 0.5;
+  const uint64_t bytes = db::EstimateTpchBytes(cfg);
+  ddc::DdcConfig dc;
+  dc.platform = ddc::Platform::kBaseDdc;
+  dc.compute_cache_bytes = bytes / 50;
+  dc.memory_pool_bytes = 8 * bytes;
+  auto deploy = [&] {
+    auto ms = std::make_unique<ddc::MemorySystem>(
+        dc, sim::CostParams::Default(), 12 * bytes);
+    auto database = db::GenerateTpch(ms.get(), cfg);
+    return std::make_pair(std::move(ms), std::move(database));
+  };
+  deploy();  // dies at once, handing its dataset on
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto [ms, database] = deploy();
+    auto ctx = ms->CreateContext(ddc::Pool::kCompute);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(db::RunQ9(*ctx, *database, {}).checksum);
+    state.PauseTiming();
+    ctx.reset();
+    database.reset();
+    ms.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_Q9Plan)->Unit(benchmark::kMillisecond);
 
 // --- OLTP table build ------------------------------------------------------
 

@@ -1,10 +1,14 @@
 #include "mr/text.h"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
-#include <cstring>
-#include <vector>
+#include <memory>
+#include <mutex>
 
 #include "common/rng.h"
+#include "mr/text_chunks.h"
+#include "sim/parallel.h"
 
 namespace teleport::mr {
 
@@ -18,62 +22,144 @@ ddc::DatasetKey TextKey(const TextConfig& c) {
            c.words_per_line, c.seed}};
 }
 
-/// Draws the corpus into `out` (config.bytes long) and counts its words
-/// and lines into `corpus`.
-void DrawText(const TextConfig& config, char* out, TextCorpus& corpus) {
-  Rng rng(config.seed);
-  ZipfGenerator zipf(config.vocabulary, config.zipf_theta);
+/// Draws the corpus into its region of `space` and counts its words and
+/// lines into `corpus`, in rounds of sim::kGeneratorChunks chunks of the
+/// one draw stream (DESIGN.md §5). A chunk whose start is known when it
+/// starts, or learns it part-way, writes in place; the others keep their
+/// draws' ranks, and once a chain over the chunks has placed them they
+/// write in a second pass. A round draws what the bytes left should take;
+/// a corpus that needs more draws gets another round.
+template <typename Entry>
+void DrawText(const TextConfig& config, ddc::AddressSpace& space,
+              TextCorpus& corpus) {
+  const uint64_t bytes = config.bytes;
+  char* out = static_cast<char*>(space.HostPtr(corpus.addr, bytes));
+  const TextDrawer<Entry> drawer(config);
+  constexpr size_t kChunks = sim::kGeneratorChunks;
+  constexpr size_t kNone = kChunks;
 
-  // Spell the vocabulary once into a table of fixed-stride slots: word i is
-  // 'w' followed by the base-26 digits of i, least significant first. A
-  // slot is at least 8 bytes, so a word is emitted with one 8-byte store:
-  // the bytes past its end are overwritten by the separator and the next
-  // word, or by the tail padding.
-  uint64_t stride = 2;
-  for (uint64_t n = config.vocabulary - 1; n >= 26; n /= 26) ++stride;
-  constexpr uint64_t kSlot = 8;
-  if (stride < kSlot) stride = kSlot;
-  std::vector<char> spelled(config.vocabulary * stride);
-  std::vector<uint8_t> length(config.vocabulary);
-  for (uint64_t id = 0; id < config.vocabulary; ++id) {
-    char* w = &spelled[id * stride];
-    uint8_t len = 0;
-    w[len++] = 'w';
-    uint64_t rest = id;
-    do {
-      w[len++] = static_cast<char>('a' + rest % 26);
-      rest /= 26;
-    } while (rest > 0);
-    length[id] = len;
+  struct alignas(64) Slot {
+    // Set by the chain before `known`.
+    TextPlace start;
+    std::atomic<bool> known{false};
+    // Set by the chunk before it reports to the chain.
+    bool finished = false;
+    bool placed = false;  // it wrote its draws; `end` is where it stopped
+    bool ended = false;   // the corpus ended in it, at `end`
+    TextPlace end;
+    DeferredChunk deferred;
+  };
+  Slot slots[kChunks];
+  // Guards the chain: the slots' `finished` and the chunks' starts, the
+  // first chunk it has not passed and where the next round starts.
+  std::mutex mu;
+  size_t frontier = 0;
+  TextPlace after_round;
+  // The chunk the corpus ends in, once the chain has found it.
+  std::atomic<size_t> end_chunk{kNone};
+
+  // Entries for the first round's draws; later rounds draw fewer. They
+  // lie past the corpus in the space when it has room: pages the
+  // deployment's next regions take, so touching them costs no memory the
+  // process would not hold anyway. Otherwise they come from the heap.
+  uint64_t draws = drawer.EstimateDraws(bytes);
+  std::unique_ptr<Entry[]> heap;
+  auto* entries = static_cast<Entry*>(space.Unallocated(draws * sizeof(Entry)));
+  if (entries == nullptr) {
+    heap = std::make_unique_for_overwrite<Entry[]>(draws);
+    entries = heap.get();
   }
 
-  uint64_t pos = 0;
-  uint64_t words_on_line = 0;
-  while (pos < config.bytes) {
-    const uint64_t id = zipf.Sample(rng);
-    const uint64_t len = length[id];
-    if (pos + len + 1 >= config.bytes) {
-      // Pad the tail with spaces (tokenizers skip them).
-      while (pos < config.bytes) out[pos++] = ' ';
-      break;
+  // Passes every finished chunk at the frontier: a placed one by where it
+  // stopped, a deferred one by its summary. Each chunk passed places the
+  // next one.
+  auto advance = [&](const sim::RowChunks& plan) {
+    while (end_chunk.load(std::memory_order_relaxed) == kNone &&
+           frontier < kChunks && slots[frontier].finished) {
+      Slot& f = slots[frontier];
+      const Entry* kept = entries + plan.begin(frontier);
+      TextPlace next = f.placed ? f.end : f.start;
+      const bool more =
+          f.placed ? !f.ended : drawer.Walk(f.deferred, kept, bytes, next);
+      if (!more) {
+        end_chunk.store(frontier, std::memory_order_relaxed);
+        return;
+      }
+      if (++frontier == kChunks) {
+        after_round = next;
+      } else {
+        slots[frontier].start = next;
+        slots[frontier].known.store(true, std::memory_order_release);
+      }
     }
-    const char* word = &spelled[id * stride];
-    if (stride == kSlot && pos + kSlot <= config.bytes) {
-      std::memcpy(out + pos, word, kSlot);
-    } else {
-      std::memcpy(out + pos, word, len);
+  };
+
+  TextPlace at = {0, 0, 0, drawer.quota()};
+  Rng rng(config.seed);
+  while (true) {
+    const sim::RowChunks plan(rng, draws, 1);
+    for (Slot& s : slots) {
+      s.known.store(false, std::memory_order_relaxed);
+      s.finished = s.placed = s.ended = false;
     }
-    pos += len;
-    ++corpus.words;
-    ++words_on_line;
-    if (words_on_line >= config.words_per_line &&
-        rng.Bernoulli(2.0 / static_cast<double>(config.words_per_line))) {
-      out[pos++] = '\n';
-      ++corpus.lines;
-      words_on_line = 0;
-    } else {
-      out[pos++] = ' ';
+    slots[0].start = at;
+    slots[0].known.store(true, std::memory_order_relaxed);
+    frontier = 0;
+    end_chunk.store(kNone, std::memory_order_relaxed);
+
+    sim::RunGeneratorChunks([&](size_t c) {
+      Slot& s = slots[c];
+      Entry* kept = entries + plan.begin(c);
+      const uint64_t n = plan.end(c) - plan.begin(c);
+      Rng r = plan.start(c);
+      s.deferred = drawer.Defer();
+      DeferredChunk& d = s.deferred;
+      while (!s.known.load(std::memory_order_acquire) && d.drawn < n) {
+        if (end_chunk.load(std::memory_order_relaxed) < c) return;
+        drawer.DrawDeferred(r, std::min(n, d.drawn + kTextPollDraws), kept, d);
+      }
+      // Placed: write what was kept, then draw the rest in place. With
+      // fewer draws left, a kept word's 8-byte store could reach the next
+      // chunk's bytes, so the chunk draws the rest deferred.
+      if (s.known.load(std::memory_order_acquire) &&
+          (d.drawn == 0 ||
+           n - d.drawn >= TextDrawer<Entry>::kWholeStoreDraws)) {
+        s.end = s.start;
+        s.placed = true;
+        s.ended = !drawer.Write(d, kept, out, bytes, bytes, s.end) ||
+                  !drawer.DrawInPlace(r, n - d.drawn, out, bytes, s.end);
+      } else {
+        drawer.DrawDeferred(r, n, kept, d);
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      s.finished = true;
+      advance(plan);
+    });
+
+    // The chain has passed every chunk before the one the corpus ends in,
+    // or the whole round. The deferred ones among them write now, the one
+    // the corpus ends in up to the end and the others up to the next
+    // chunk's first byte, which their words' 8-byte stores stay below.
+    const size_t last = end_chunk.load(std::memory_order_relaxed);
+    sim::RunGeneratorChunks([&](size_t c) {
+      Slot& s = slots[c];
+      if ((last != kNone && c > last) || s.placed) return;
+      const uint64_t limit =
+          c == last ? bytes
+                    : (c + 1 < kChunks ? slots[c + 1].start : after_round).pos;
+      s.end = s.start;
+      drawer.Write(s.deferred, entries + plan.begin(c), out, bytes, limit,
+                   s.end);
+    });
+
+    if (last != kNone) {
+      corpus.words = slots[last].end.words;
+      corpus.lines = slots[last].end.lines;
+      return;
     }
+    at = after_round;
+    rng = plan.After();
+    draws = drawer.EstimateDraws(bytes - at.pos);
   }
 }
 
@@ -90,9 +176,12 @@ TextCorpus GenerateText(ddc::MemorySystem* ms, const TextConfig& config) {
     corpus.words = counts[0];
     corpus.lines = counts[1];
   } else {
-    DrawText(config,
-             static_cast<char*>(ms->space().HostPtr(corpus.addr, config.bytes)),
-             corpus);
+    // Two-byte entries hold every rank below 2^15.
+    if (config.vocabulary <= TextDrawer<uint16_t>::kFlag) {
+      DrawText<uint16_t>(config, ms->space(), corpus);
+    } else {
+      DrawText<uint32_t>(config, ms->space(), corpus);
+    }
     ms->space().TagDataset({corpus.words, corpus.lines});
   }
   ms->SeedData();

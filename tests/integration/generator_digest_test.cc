@@ -8,12 +8,17 @@
 // staged (DESIGN.md §5), and when a tampered or mismatched spare makes it
 // generate again.
 //
-// The TPC-H and graph generators draw in sim::kGeneratorChunks chunks on
-// several host threads. Their last case has rows or vertices that do not
-// divide evenly into the chunks; its digest, like every other here, was
-// taken from the single-threaded generator before the split.
+// The generators draw in sim::kGeneratorChunks chunks on several host
+// threads. The TPC-H and graph generators' last case has rows or vertices
+// that do not divide evenly into the chunks; its digest, like every other
+// here, was taken from the single-threaded generator before the split. The
+// text generator's chunks are also checked against a verbatim copy of its
+// sequential loop over random shapes, and chunk by chunk against a
+// sequential walk of the same draws.
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -25,6 +30,8 @@
 #include "db/tpch.h"
 #include "graph/graph.h"
 #include "mr/text.h"
+#include "mr/text_chunks.h"
+#include "sim/parallel.h"
 
 namespace teleport {
 namespace {
@@ -110,6 +117,318 @@ TEST(GeneratorDigestTest, Text) {
     EXPECT_EQ(StagedDigest(ms), c.digest) << c.bytes << " seed " << c.seed;
     EXPECT_EQ(corpus.words, c.words) << c.bytes << " seed " << c.seed;
     EXPECT_EQ(corpus.lines, c.lines) << c.bytes << " seed " << c.seed;
+  }
+}
+
+// --- The text generator's chunks --------------------------------------------
+
+/// The text generator's loop before it drew in chunks, verbatim: the
+/// reference for the chunked one. Draws the corpus into `out` (config.bytes
+/// long) and counts its words and lines into `corpus`.
+void SequentialDrawText(const mr::TextConfig& config, char* out,
+                        mr::TextCorpus& corpus) {
+  Rng rng(config.seed);
+  ZipfGenerator zipf(config.vocabulary, config.zipf_theta);
+
+  // Spell the vocabulary once into a table of fixed-stride slots: word i is
+  // 'w' followed by the base-26 digits of i, least significant first. A
+  // slot is at least 8 bytes, so a word is emitted with one 8-byte store:
+  // the bytes past its end are overwritten by the separator and the next
+  // word, or by the tail padding.
+  uint64_t stride = 2;
+  for (uint64_t n = config.vocabulary - 1; n >= 26; n /= 26) ++stride;
+  constexpr uint64_t kSlot = 8;
+  if (stride < kSlot) stride = kSlot;
+  std::vector<char> spelled(config.vocabulary * stride);
+  std::vector<uint8_t> length(config.vocabulary);
+  for (uint64_t id = 0; id < config.vocabulary; ++id) {
+    char* w = &spelled[id * stride];
+    uint8_t len = 0;
+    w[len++] = 'w';
+    uint64_t rest = id;
+    do {
+      w[len++] = static_cast<char>('a' + rest % 26);
+      rest /= 26;
+    } while (rest > 0);
+    length[id] = len;
+  }
+
+  uint64_t pos = 0;
+  uint64_t words_on_line = 0;
+  while (pos < config.bytes) {
+    const uint64_t id = zipf.Sample(rng);
+    const uint64_t len = length[id];
+    if (pos + len + 1 >= config.bytes) {
+      // Pad the tail with spaces (tokenizers skip them).
+      while (pos < config.bytes) out[pos++] = ' ';
+      break;
+    }
+    const char* word = &spelled[id * stride];
+    if (stride == kSlot && pos + kSlot <= config.bytes) {
+      std::memcpy(out + pos, word, kSlot);
+    } else {
+      std::memcpy(out + pos, word, len);
+    }
+    pos += len;
+    ++corpus.words;
+    ++words_on_line;
+    if (words_on_line >= config.words_per_line &&
+        rng.Bernoulli(2.0 / static_cast<double>(config.words_per_line))) {
+      out[pos++] = '\n';
+      ++corpus.lines;
+      words_on_line = 0;
+    } else {
+      out[pos++] = ' ';
+    }
+  }
+}
+
+/// The line automaton of mr/text_chunks.h, one draw at a time, with no end
+/// of corpus: the sequential walk a chunk's summary must reproduce.
+struct LineWalk {
+  explicit LineWalk(const mr::TextConfig& c)
+      : zipf(c.vocabulary, c.zipf_theta),
+        quota(std::max<uint64_t>(c.words_per_line, 1)),
+        coin(2.0 / static_cast<double>(c.words_per_line)) {}
+
+  static uint64_t Letters(uint64_t rank) {
+    uint64_t letters = 2;
+    for (uint64_t power = 26; power <= rank; power *= 26) ++letters;
+    return letters;
+  }
+
+  /// Moves `at` by one draw of `rng`; returns the letters of the word it
+  /// drew, or 0 for a coin.
+  uint64_t Step(Rng& rng, mr::TextPlace& at) const {
+    if (at.state == 0) {
+      const bool land = rng.NextDouble() < coin;
+      ++at.pos;
+      at.lines += land ? 1 : 0;
+      at.state = land ? quota : 1;
+      return 0;
+    }
+    const uint64_t letters = Letters(zipf.Sample(rng));
+    at.pos += letters;
+    ++at.words;
+    if (--at.state != 0) ++at.pos;
+    return letters;
+  }
+
+  ZipfGenerator zipf;
+  uint64_t quota;
+  double coin;
+};
+
+/// The draw stream of a whole corpus, walked to the word it ends at.
+struct CorpusWalk {
+  uint64_t draws = 0;  // up to and including the word the corpus ends at
+  /// pos[i] for i <= draws: the byte before draw i, had the corpus not
+  /// ended.
+  std::vector<uint64_t> pos;
+};
+
+CorpusWalk WalkCorpus(const mr::TextConfig& c) {
+  const LineWalk walk(c);
+  CorpusWalk out;
+  Rng rng(c.seed);
+  mr::TextPlace at = {0, 0, 0, walk.quota};
+  out.pos.push_back(0);
+  while (c.bytes > 0) {
+    ++out.draws;
+    const uint64_t before = at.pos;
+    const uint64_t letters = walk.Step(rng, at);
+    out.pos.push_back(at.pos);
+    if (letters > 0 && before + letters + 1 >= c.bytes) break;
+  }
+  return out;
+}
+
+/// The first round's draws for `c`.
+uint64_t EstimateDraws(const mr::TextConfig& c) {
+  return c.vocabulary <= mr::TextDrawer<uint16_t>::kFlag
+             ? mr::TextDrawer<uint16_t>(c).EstimateDraws(c.bytes)
+             : mr::TextDrawer<uint32_t>(c).EstimateDraws(c.bytes);
+}
+
+template <typename Entry>
+void CheckChunksFromEveryStartState(const mr::TextConfig& c, Rng& pick,
+                                    int& met, int& unmet) {
+  const mr::TextDrawer<Entry> drawer(c);
+  const LineWalk walk(c);
+  for (const uint64_t n : {0, 1, 2, 3, 5, 9, 30, 100, 1'000, 5'000}) {
+    const Rng start(pick.Next());
+    // Drawn in blocks of random sizes, as a chunk polls between blocks.
+    std::vector<Entry> entries(n + 1);
+    mr::DeferredChunk chunk = drawer.Defer();
+    Rng deferred = start;
+    while (chunk.drawn < n) {
+      const uint64_t block = 1 + pick.Uniform(600);
+      drawer.DrawDeferred(deferred, std::min(n, chunk.drawn + block),
+                          entries.data(), chunk);
+    }
+    ASSERT_EQ(chunk.drawn, n);
+    (chunk.met ? met : unmet) += 1;
+    for (uint64_t state = 0; state <= drawer.quota(); ++state) {
+      const mr::TextPlace from = {pick.Uniform(1'000), pick.Uniform(1'000),
+                                  pick.Uniform(100), state};
+      mr::TextPlace want = from;
+      Rng rng = start;
+      uint64_t reach = from.pos;  // past the last word and its separator
+      for (uint64_t i = 0; i < n; ++i) {
+        const uint64_t before = want.pos;
+        const uint64_t letters = walk.Step(rng, want);
+        if (letters > 0) reach = before + letters + 1;
+      }
+      const std::string what = "n " + std::to_string(n) + " from state " +
+                               std::to_string(state) + " of " +
+                               std::to_string(drawer.quota());
+      mr::TextPlace got = from;
+      ASSERT_TRUE(drawer.Walk(chunk, entries.data(), UINT64_MAX, got)) << what;
+      ASSERT_EQ(got, want) << what;
+
+      // The corpus ends in the chunk exactly when a word reaches its end.
+      const uint64_t bytes =
+          from.pos + 1 + pick.Uniform(want.pos - from.pos + 2);
+      got = from;
+      EXPECT_EQ(drawer.Walk(chunk, entries.data(), bytes, got), reach < bytes)
+          << what << ", corpus of " << bytes << " bytes";
+
+      // Writing the kept draws gives the bytes and place of drawing them in
+      // place, and neither writes past the chunk's end: Write's 8-byte
+      // stores stop below the limit, DrawInPlace's within its last draws.
+      std::vector<char> written(want.pos + 8, '?');
+      std::vector<char> drawn(want.pos + 8, '?');
+      got = from;
+      ASSERT_TRUE(drawer.Write(chunk, entries.data(), written.data(),
+                               UINT64_MAX, want.pos, got));
+      EXPECT_EQ(got, want) << what;
+      got = from;
+      rng = start;
+      ASSERT_TRUE(drawer.DrawInPlace(rng, n, drawn.data(), UINT64_MAX, got));
+      EXPECT_EQ(got, want) << what;
+      EXPECT_TRUE(std::equal(written.begin() + from.pos,
+                             written.begin() + want.pos,
+                             drawn.begin() + from.pos))
+          << what;
+      for (const std::vector<char>* out : {&written, &drawn}) {
+        EXPECT_TRUE(std::all_of(out->begin() + want.pos, out->end(),
+                                [](char b) { return b == '?'; }))
+            << what;
+      }
+    }
+  }
+}
+
+TEST(GeneratorDigestTest, TextChunkFromEveryStartStateMatchesASequentialWalk) {
+  Rng pick(2027);
+  int met = 0;
+  int unmet = 0;
+  for (uint64_t words_per_line = 0; words_per_line <= 20; ++words_per_line) {
+    for (const double theta : {0.3, 0.8, 0.99}) {
+      mr::TextConfig c;
+      c.words_per_line = words_per_line;
+      c.zipf_theta = theta;
+      c.vocabulary = 2 + pick.Uniform(30'000);
+      CheckChunksFromEveryStartState<uint16_t>(c, pick, met, unmet);
+    }
+  }
+  // Past 63 states the paths are not tracked, and a larger vocabulary takes
+  // four-byte entries.
+  mr::TextConfig c;
+  c.words_per_line = 70;
+  CheckChunksFromEveryStartState<uint16_t>(c, pick, met, unmet);
+  c.words_per_line = 12;
+  c.vocabulary = 100'000;
+  CheckChunksFromEveryStartState<uint32_t>(c, pick, met, unmet);
+  // Both kinds of chunk occur: ones whose paths met, and ones too short
+  // for them to meet.
+  EXPECT_GT(met, 50);
+  EXPECT_GT(unmet, 100);
+}
+
+TEST(GeneratorDigestTest, TextMatchesSequentialLoop) {
+  // Log-uniform sizes and vocabularies: small corpora split into chunks of
+  // a few draws, and vocabularies cross 26, 676, 17,576 and 65,536.
+  Rng pick(2026);
+  int beyond_estimate = 0;  // needed more draws than the first round's
+  int near_chunk_end = 0;   // ended within 8 bytes of a chunk's end
+  for (int i = 0; i < 300; ++i) {
+    mr::TextConfig c;
+    c.bytes = static_cast<uint64_t>(
+        std::exp(pick.NextDouble() * std::log(300'000.0)));
+    c.vocabulary = 2 + static_cast<uint64_t>(
+                           std::exp(pick.NextDouble() * std::log(99'999.0)));
+    c.zipf_theta = std::array{0.3, 0.5, 0.6, 0.8, 0.99}[pick.Uniform(5)];
+    c.words_per_line = pick.Uniform(21);
+    c.seed = pick.Next();
+    const std::string what =
+        std::to_string(c.bytes) + " B, vocabulary " +
+        std::to_string(c.vocabulary) + ", theta " +
+        std::to_string(c.zipf_theta) + ", " +
+        std::to_string(c.words_per_line) + " words per line, seed " +
+        std::to_string(c.seed);
+
+    std::vector<char> want(c.bytes);
+    mr::TextCorpus reference;
+    SequentialDrawText(c, want.data(), reference);
+    // Every other space has room past the corpus for the chunks' kept
+    // ranks; the rest keep them on the heap.
+    ddc::MemorySystem ms(LocalConfig(), sim::CostParams::Default(),
+                         i % 2 == 0 ? c.bytes + 4096 : 3 * c.bytes + 65536);
+    const mr::TextCorpus corpus = mr::GenerateText(&ms, c);
+    const auto* got =
+        static_cast<const char*>(ms.space().HostPtr(corpus.addr, c.bytes));
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), got)) << what;
+    EXPECT_EQ(corpus.words, reference.words) << what;
+    EXPECT_EQ(corpus.lines, reference.lines) << what;
+
+    // Where the first round's chunks split the draws.
+    const uint64_t estimate = EstimateDraws(c);
+    const CorpusWalk walk = WalkCorpus(c);
+    if (walk.draws > estimate) ++beyond_estimate;
+    const uint64_t per_chunk =
+        (estimate + sim::kGeneratorChunks - 1) / sim::kGeneratorChunks;
+    for (uint64_t d = per_chunk; d <= walk.draws; d += per_chunk) {
+      if (c.bytes <= walk.pos[d] + 8 && walk.pos[d] <= c.bytes + 8) {
+        ++near_chunk_end;
+        break;
+      }
+    }
+  }
+  EXPECT_GE(beyond_estimate, 10);
+  EXPECT_GE(near_chunk_end, 30);
+}
+
+TEST(GeneratorDigestTest, TextChunkPlacedJustBeforeItsEnd) {
+  // Corpora whose chunks hold 2 * kTextPollDraws + 1 to + 5 draws: a
+  // deferred chunk that learns its start at its last look has fewer than
+  // kWholeStoreDraws draws left, so it stays deferred and must still draw
+  // them. Whether a chunk learns its start there depends on the threads'
+  // timing, so 200 seeds give it many chances.
+  mr::TextConfig c;
+  c.bytes = 150'000;
+  uint64_t per_chunk = 0;
+  do {
+    c.bytes += 50;
+    per_chunk = (EstimateDraws(c) + sim::kGeneratorChunks - 1) /
+                sim::kGeneratorChunks;
+  } while (per_chunk % mr::kTextPollDraws == 0 ||
+           per_chunk % mr::kTextPollDraws >
+               mr::TextDrawer<uint16_t>::kWholeStoreDraws - 1);
+  ASSERT_EQ(per_chunk / mr::kTextPollDraws, 2u);
+  std::vector<char> want(c.bytes);
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    c.seed = seed;
+    mr::TextCorpus reference;
+    SequentialDrawText(c, want.data(), reference);
+    ddc::MemorySystem ms(LocalConfig(), sim::CostParams::Default(),
+                         seed % 2 == 0 ? c.bytes + 4096 : 2 * c.bytes);
+    const mr::TextCorpus corpus = mr::GenerateText(&ms, c);
+    const auto* got =
+        static_cast<const char*>(ms.space().HostPtr(corpus.addr, c.bytes));
+    ASSERT_TRUE(std::equal(want.begin(), want.end(), got)) << "seed " << seed;
+    ASSERT_EQ(corpus.words, reference.words) << "seed " << seed;
+    ASSERT_EQ(corpus.lines, reference.lines) << "seed " << seed;
   }
 }
 
