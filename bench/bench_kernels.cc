@@ -516,6 +516,7 @@ void BM_Q9Plan(benchmark::State& state) {
     ms.reset();
     state.ResumeTiming();
   }
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Q9Plan)->Unit(benchmark::kMillisecond);
 

@@ -124,19 +124,6 @@ class AddressSpace {
     return mem_ + addr;
   }
 
-  /// Host memory for the `bytes` after the allocated regions, or nullptr
-  /// when nothing is allocated yet or fewer bytes are left. A generator
-  /// may keep scratch there until the space's next allocation: its pages
-  /// are the ones the space's later regions take, so the process holds no
-  /// more memory for it, and every later region initializes its bytes as
-  /// any region does.
-  void* Unallocated(uint64_t bytes) {
-    if (mem_ == nullptr || capacity_bytes_ - used_bytes_ < bytes) {
-      return nullptr;
-    }
-    return mem_ + used_bytes_;
-  }
-
   uint64_t page_size() const { return page_size_; }
   uint64_t used_bytes() const { return used_bytes_; }
   uint64_t capacity_bytes() const { return capacity_bytes_; }

@@ -1,11 +1,13 @@
 #include "mr/text.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <memory>
 #include <mutex>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "mr/text_chunks.h"
 #include "sim/parallel.h"
@@ -21,6 +23,22 @@ ddc::DatasetKey TextKey(const TextConfig& c) {
           {c.bytes, c.vocabulary, std::bit_cast<uint64_t>(c.zipf_theta),
            c.words_per_line, c.seed}};
 }
+
+/// An anonymous private mapping of `bytes` bytes, unmapped when it goes.
+struct Mapping {
+  explicit Mapping(uint64_t bytes)
+      : bytes(bytes),
+        mem(mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)) {
+    TELEPORT_CHECK(mem != MAP_FAILED) << "cannot map " << bytes << " bytes";
+  }
+  ~Mapping() { munmap(mem, bytes); }
+  Mapping(const Mapping&) = delete;
+  Mapping& operator=(const Mapping&) = delete;
+
+  uint64_t bytes;
+  void* mem;
+};
 
 /// Draws the corpus into its region of `space` and counts its words and
 /// lines into `corpus`, in rounds of sim::kGeneratorChunks chunks of the
@@ -58,17 +76,13 @@ void DrawText(const TextConfig& config, ddc::AddressSpace& space,
   // The chunk the corpus ends in, once the chain has found it.
   std::atomic<size_t> end_chunk{kNone};
 
-  // Entries for the first round's draws; later rounds draw fewer. They
-  // lie past the corpus in the space when it has room: pages the
-  // deployment's next regions take, so touching them costs no memory the
-  // process would not hold anyway. Otherwise they come from the heap.
+  // Entries for the first round's draws; later rounds draw fewer. Only
+  // deferred chunks touch theirs, and the pages go back to the system on
+  // return: heap pages would stay with a process that turns malloc's
+  // trimming off, as the benchmarks do.
   uint64_t draws = drawer.EstimateDraws(bytes);
-  std::unique_ptr<Entry[]> heap;
-  auto* entries = static_cast<Entry*>(space.Unallocated(draws * sizeof(Entry)));
-  if (entries == nullptr) {
-    heap = std::make_unique_for_overwrite<Entry[]>(draws);
-    entries = heap.get();
-  }
+  const Mapping scratch(draws * sizeof(Entry));
+  auto* entries = static_cast<Entry*>(scratch.mem);
 
   // Passes every finished chunk at the frontier: a placed one by where it
   // stopped, a deferred one by its summary. Each chunk passed places the
@@ -118,16 +132,12 @@ void DrawText(const TextConfig& config, ddc::AddressSpace& space,
         if (end_chunk.load(std::memory_order_relaxed) < c) return;
         drawer.DrawDeferred(r, std::min(n, d.drawn + kTextPollDraws), kept, d);
       }
-      // Placed: write what was kept, then draw the rest in place. With
-      // fewer draws left, a kept word's 8-byte store could reach the next
-      // chunk's bytes, so the chunk draws the rest deferred.
-      if (s.known.load(std::memory_order_acquire) &&
-          (d.drawn == 0 ||
-           n - d.drawn >= TextDrawer<Entry>::kWholeStoreDraws)) {
+      if (s.known.load(std::memory_order_acquire)) {
+        using Placed = typename TextDrawer<Entry>::Placed;
         s.end = s.start;
-        s.placed = true;
-        s.ended = !drawer.Write(d, kept, out, bytes, bytes, s.end) ||
-                  !drawer.DrawInPlace(r, n - d.drawn, out, bytes, s.end);
+        const Placed placed = drawer.Place(r, n, kept, d, out, bytes, s.end);
+        s.placed = placed != Placed::kDeferred;
+        s.ended = placed == Placed::kEnded;
       } else {
         drawer.DrawDeferred(r, n, kept, d);
       }

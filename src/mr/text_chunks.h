@@ -115,6 +115,31 @@ class TextDrawer {
   bool Write(const DeferredChunk& chunk, const Entry* entries, char* out,
              uint64_t bytes, uint64_t limit, TextPlace& at) const;
 
+  /// What Place did with a chunk.
+  enum class Placed {
+    kWritten,   // wrote every draw; `at` is where the next chunk starts
+    kEnded,     // wrote up to the end of the corpus, as DrawInPlace does
+    kDeferred,  // drew the rest deferred; a second pass writes them all
+  };
+
+  /// Finishes a chunk of `n` draws whose start `at` is known, after
+  /// `chunk.drawn` of them were drawn deferred into `entries`: writes those
+  /// and draws the rest in place. With fewer than kWholeStoreDraws draws
+  /// left after a kept one, a kept word's 8-byte store could reach the next
+  /// chunk's bytes, so it draws the rest deferred instead.
+  Placed Place(Rng& rng, uint64_t n, Entry* entries, DeferredChunk& chunk,
+               char* out, uint64_t bytes, TextPlace& at) const {
+    if (chunk.drawn != 0 && n - chunk.drawn < kWholeStoreDraws) {
+      DrawDeferred(rng, n, entries, chunk);
+      return Placed::kDeferred;
+    }
+    const uint64_t rest = n - chunk.drawn;
+    return Write(chunk, entries, out, bytes, bytes, at) &&
+                   DrawInPlace(rng, rest, out, bytes, at)
+               ? Placed::kWritten
+               : Placed::kEnded;
+  }
+
  private:
   /// What the writing loops read, copied into each loop with the Rng and
   /// the place: a store through `out` may alias anything a loop reaches
@@ -347,11 +372,36 @@ bool TextDrawer<Entry>::Write(const DeferredChunk& chunk, const Entry* entries,
       more = w.PutWord(entries[i] & ~kFlag, out, bytes, limit, here);
     }
   }
+  const Entry* e = entries + chunk.window;
+  const Entry* end = e + chunk.words;
+  const TextPlace& tail = chunk.tail;
+  if (more && e != end && w.stride == kSlot &&
+      here.pos + tail.pos + (tail.state == 0 ? 1 : 0) < bytes) {
+    // No word reaches the end of the corpus (see Walk), so only the stores
+    // are checked. Each word is followed by one separator, '\n' when its
+    // coin landed, except a last one whose coin is not drawn yet.
+    uint64_t pos = here.pos;
+    for (--end; e != end; ++e) {
+      const uint64_t id = *e & ~kFlag;
+      if (pos + kSlot <= limit) {
+        std::memcpy(out + pos, w.spelled + id * kSlot, kSlot);
+      } else {
+        std::memcpy(out + pos, w.spelled + id * kSlot, w.length[id]);
+      }
+      pos += w.length[id];
+      out[pos++] = (*e & kFlag) != 0 ? '\n' : ' ';
+    }
+    const uint64_t id = *e & ~kFlag;
+    std::memcpy(out + pos, w.spelled + id * kSlot, w.length[id]);
+    pos += w.length[id];
+    if (tail.state != 0) out[pos++] = (*e & kFlag) != 0 ? '\n' : ' ';
+    at = {pos, here.words + tail.words, here.lines + tail.lines, tail.state};
+    return true;
+  }
   // The merged path's coins follow the words that leave it in state 0,
   // except a last one that is not drawn yet.
   uint64_t coins = chunk.drawn - chunk.window - chunk.words;
-  const Entry* end = entries + chunk.window + chunk.words;
-  for (const Entry* e = entries + chunk.window; more && e != end; ++e) {
+  for (; more && e != end; ++e) {
     more = w.PutWord(*e & ~kFlag, out, bytes, limit, here);
     if (more && here.state == 0 && coins > 0) {
       w.PutCoin((*e & kFlag) != 0, out, here);

@@ -371,10 +371,8 @@ TEST(GeneratorDigestTest, TextMatchesSequentialLoop) {
     std::vector<char> want(c.bytes);
     mr::TextCorpus reference;
     SequentialDrawText(c, want.data(), reference);
-    // Every other space has room past the corpus for the chunks' kept
-    // ranks; the rest keep them on the heap.
     ddc::MemorySystem ms(LocalConfig(), sim::CostParams::Default(),
-                         i % 2 == 0 ? c.bytes + 4096 : 3 * c.bytes + 65536);
+                         c.bytes + 4096);
     const mr::TextCorpus corpus = mr::GenerateText(&ms, c);
     const auto* got =
         static_cast<const char*>(ms.space().HostPtr(corpus.addr, c.bytes));
@@ -399,37 +397,119 @@ TEST(GeneratorDigestTest, TextMatchesSequentialLoop) {
   EXPECT_GE(near_chunk_end, 30);
 }
 
-TEST(GeneratorDigestTest, TextChunkPlacedJustBeforeItsEnd) {
-  // Corpora whose chunks hold 2 * kTextPollDraws + 1 to + 5 draws: a
-  // deferred chunk that learns its start at its last look has fewer than
-  // kWholeStoreDraws draws left, so it stays deferred and must still draw
-  // them. Whether a chunk learns its start there depends on the threads'
-  // timing, so 200 seeds give it many chances.
-  mr::TextConfig c;
-  c.bytes = 150'000;
-  uint64_t per_chunk = 0;
-  do {
-    c.bytes += 50;
-    per_chunk = (EstimateDraws(c) + sim::kGeneratorChunks - 1) /
-                sim::kGeneratorChunks;
-  } while (per_chunk % mr::kTextPollDraws == 0 ||
-           per_chunk % mr::kTextPollDraws >
-               mr::TextDrawer<uint16_t>::kWholeStoreDraws - 1);
-  ASSERT_EQ(per_chunk / mr::kTextPollDraws, 2u);
-  std::vector<char> want(c.bytes);
-  for (uint64_t seed = 1; seed <= 200; ++seed) {
-    c.seed = seed;
-    mr::TextCorpus reference;
-    SequentialDrawText(c, want.data(), reference);
-    ddc::MemorySystem ms(LocalConfig(), sim::CostParams::Default(),
-                         seed % 2 == 0 ? c.bytes + 4096 : 2 * c.bytes);
-    const mr::TextCorpus corpus = mr::GenerateText(&ms, c);
-    const auto* got =
-        static_cast<const char*>(ms.space().HostPtr(corpus.addr, c.bytes));
-    ASSERT_TRUE(std::equal(want.begin(), want.end(), got)) << "seed " << seed;
-    ASSERT_EQ(corpus.words, reference.words) << "seed " << seed;
-    ASSERT_EQ(corpus.lines, reference.lines) << "seed " << seed;
+template <typename Entry>
+void CheckPlaceAfterEveryStop(const mr::TextConfig& c, Rng& pick,
+                              int& deferred, int& ended) {
+  using Placed = typename mr::TextDrawer<Entry>::Placed;
+  constexpr uint64_t kWhole = mr::TextDrawer<Entry>::kWholeStoreDraws;
+  const mr::TextDrawer<Entry> drawer(c);
+  const LineWalk walk(c);
+  for (const uint64_t n : {1, 2, 5, 6, 7, 8, 13, 100, 3'000}) {
+    const Rng start(pick.Next());
+    const mr::TextPlace from = {pick.Uniform(1'000), pick.Uniform(1'000),
+                                pick.Uniform(100),
+                                pick.Uniform(drawer.quota() + 1)};
+    mr::TextPlace next = from;  // where the next chunk starts
+    Rng rng = start;
+    for (uint64_t i = 0; i < n; ++i) walk.Step(rng, next);
+    // A corpus that goes on, and one that ends in the chunk or just after.
+    const uint64_t end = from.pos + 1 + pick.Uniform(next.pos - from.pos + 2);
+    for (const uint64_t bytes : {uint64_t{UINT64_MAX}, end}) {
+      // The chunk drawn in place from its first draw.
+      std::vector<char> want(next.pos + 8, '?');
+      mr::TextPlace want_at = from;
+      rng = start;
+      const bool more =
+          drawer.DrawInPlace(rng, n, want.data(), bytes, want_at);
+      // The chunk's bytes end where the next chunk's start, or at the end
+      // of the corpus.
+      const uint64_t last = more ? next.pos : bytes;
+      // The chunk learns its start after `stop` deferred draws: at once,
+      // part-way, or with 0 to kWholeStoreDraws draws left.
+      std::vector<uint64_t> stops = {0, 1, n / 2};
+      for (uint64_t left = 0; left <= kWhole && left <= n; ++left) {
+        stops.push_back(n - left);
+      }
+      for (const uint64_t stop : stops) {
+        const std::string what =
+            "n " + std::to_string(n) + ", placed after " +
+            std::to_string(stop) + " draws, from state " +
+            std::to_string(from.state) + " of " +
+            std::to_string(drawer.quota()) + ", corpus of " +
+            std::to_string(bytes) + " bytes";
+        std::vector<Entry> entries(n + 1);
+        mr::DeferredChunk chunk = drawer.Defer();
+        Rng r = start;
+        drawer.DrawDeferred(r, stop, entries.data(), chunk);
+        std::vector<char> got(next.pos + 8, '?');
+        mr::TextPlace at = from;
+        const Placed placed =
+            drawer.Place(r, n, entries.data(), chunk, got.data(), bytes, at);
+        if (stop != 0 && n - stop < kWhole) {
+          // Every draw is kept and nothing is written yet; the chain and
+          // the second pass then place and write the chunk.
+          ASSERT_EQ(placed, Placed::kDeferred) << what;
+          ASSERT_EQ(chunk.drawn, n) << what;
+          ASSERT_TRUE(std::all_of(got.begin(), got.end(),
+                                  [](char b) { return b == '?'; }))
+              << what;
+          ++deferred;
+          at = from;
+          ASSERT_EQ(drawer.Walk(chunk, entries.data(), bytes, at), more)
+              << what;
+          if (more) {
+            EXPECT_EQ(at, next) << what;
+          }
+          at = from;
+          EXPECT_EQ(drawer.Write(chunk, entries.data(), got.data(), bytes,
+                                 last, at),
+                    more)
+              << what;
+        } else {
+          ASSERT_EQ(placed, more ? Placed::kWritten : Placed::kEnded) << what;
+        }
+        ended += more ? 0 : 1;
+        if (more) {
+          EXPECT_EQ(at, next) << what;
+        } else {
+          EXPECT_EQ(at.words, want_at.words) << what;
+          EXPECT_EQ(at.lines, want_at.lines) << what;
+        }
+        // The same bytes, and no store past the chunk's last byte.
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin())) << what;
+        EXPECT_TRUE(std::all_of(got.begin() + last, got.end(),
+                                [](char b) { return b == '?'; }))
+            << what;
+      }
+    }
   }
+}
+
+TEST(GeneratorDigestTest, TextChunkPlacedAfterDeferredDraws) {
+  // A deferred chunk that learns its start with fewer than kWholeStoreDraws
+  // draws left must still draw them, deferred; one that learns it earlier
+  // writes what it kept and draws the rest in place. Each matches the
+  // chunk drawn in place from its first draw.
+  Rng pick(2028);
+  int deferred = 0;
+  int ended = 0;
+  for (uint64_t words_per_line = 0; words_per_line <= 20; ++words_per_line) {
+    for (const double theta : {0.3, 0.8, 0.99}) {
+      mr::TextConfig c;
+      c.words_per_line = words_per_line;
+      c.zipf_theta = theta;
+      c.vocabulary = 2 + pick.Uniform(30'000);
+      CheckPlaceAfterEveryStop<uint16_t>(c, pick, deferred, ended);
+    }
+  }
+  mr::TextConfig c;
+  c.words_per_line = 70;
+  CheckPlaceAfterEveryStop<uint16_t>(c, pick, deferred, ended);
+  c.words_per_line = 12;
+  c.vocabulary = 100'000;
+  CheckPlaceAfterEveryStop<uint32_t>(c, pick, deferred, ended);
+  EXPECT_GT(deferred, 1'000);
+  EXPECT_GT(ended, 1'000);
 }
 
 TEST(GeneratorDigestTest, Tpch) {
