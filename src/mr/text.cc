@@ -1,13 +1,11 @@
 #include "mr/text.h"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <memory>
 #include <mutex>
 
-#include "common/logging.h"
 #include "common/rng.h"
 #include "mr/text_chunks.h"
 #include "sim/parallel.h"
@@ -23,22 +21,6 @@ ddc::DatasetKey TextKey(const TextConfig& c) {
           {c.bytes, c.vocabulary, std::bit_cast<uint64_t>(c.zipf_theta),
            c.words_per_line, c.seed}};
 }
-
-/// An anonymous private mapping of `bytes` bytes, unmapped when it goes.
-struct Mapping {
-  explicit Mapping(uint64_t bytes)
-      : bytes(bytes),
-        mem(mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)) {
-    TELEPORT_CHECK(mem != MAP_FAILED) << "cannot map " << bytes << " bytes";
-  }
-  ~Mapping() { munmap(mem, bytes); }
-  Mapping(const Mapping&) = delete;
-  Mapping& operator=(const Mapping&) = delete;
-
-  uint64_t bytes;
-  void* mem;
-};
 
 /// Draws the corpus into its region of `space` and counts its words and
 /// lines into `corpus`, in rounds of sim::kGeneratorChunks chunks of the
@@ -76,13 +58,11 @@ void DrawText(const TextConfig& config, ddc::AddressSpace& space,
   // The chunk the corpus ends in, once the chain has found it.
   std::atomic<size_t> end_chunk{kNone};
 
-  // Entries for the first round's draws; later rounds draw fewer. Only
-  // deferred chunks touch theirs, and the pages go back to the system on
-  // return: heap pages would stay with a process that turns malloc's
-  // trimming off, as the benchmarks do.
+  // Entries for the first round's draws; later rounds draw fewer. They
+  // are left uninitialized: only deferred chunks touch theirs.
   uint64_t draws = drawer.EstimateDraws(bytes);
-  const Mapping scratch(draws * sizeof(Entry));
-  auto* entries = static_cast<Entry*>(scratch.mem);
+  const std::unique_ptr<Entry[]> scratch(new Entry[draws]);
+  Entry* entries = scratch.get();
 
   // Passes every finished chunk at the frontier: a placed one by where it
   // stopped, a deferred one by its summary. Each chunk passed places the

@@ -41,9 +41,8 @@ uint64_t HostAllocationsToGenerate(uint64_t bytes) {
 
 TEST(TextGenAllocationTest, HostAllocationCountIsIndependentOfSize) {
   // Staging goes through a fixed set of presized host buffers: the spelled
-  // vocabulary, sized, and the chunks' kept ranks, mapped, before any chunk
-  // runs. A chunk that allocated would give its thread a malloc arena of
-  // its own.
+  // vocabulary and the chunks' kept ranks, sized before any chunk runs.
+  // A chunk that allocated would give its thread a malloc arena of its own.
   // Both corpora take one round of chunks. The first generation in a
   // process also sets up state the process keeps, so one runs uncounted.
   HostAllocationsToGenerate(4 << 10);
