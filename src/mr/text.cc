@@ -26,9 +26,10 @@ ddc::DatasetKey TextKey(const TextConfig& c) {
 /// lines into `corpus`, in rounds of sim::kGeneratorChunks chunks of the
 /// one draw stream (DESIGN.md §5). A chunk whose start is known when it
 /// starts, or learns it part-way, writes in place; the others keep their
-/// draws' ranks, and once a chain over the chunks has placed them they
-/// write in a second pass. A round draws what the bytes left should take;
-/// a corpus that needs more draws gets another round.
+/// draws' ranks, and a chain over the chunks places them in order. The
+/// thread whose report lets the chain pass a kept chunk writes it. A round
+/// draws what the bytes left should take; a corpus that needs more draws
+/// gets another round.
 template <typename Entry>
 void DrawText(const TextConfig& config, ddc::AddressSpace& space,
               TextCorpus& corpus) {
@@ -121,27 +122,35 @@ void DrawText(const TextConfig& config, ddc::AddressSpace& space,
       } else {
         drawer.DrawDeferred(r, n, kept, d);
       }
-      std::lock_guard<std::mutex> lock(mu);
-      s.finished = true;
-      advance(plan);
+      // Report to the chain, then write the kept chunks it passed on this
+      // report: the one the corpus ends in up to the end, the others up to
+      // the next chunk's first byte, which their 8-byte stores stay below.
+      size_t from;
+      size_t to;
+      size_t end;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        s.finished = true;
+        from = frontier;
+        const bool ended_before =
+            end_chunk.load(std::memory_order_relaxed) != kNone;
+        advance(plan);
+        end = end_chunk.load(std::memory_order_relaxed);
+        to = end != kNone && !ended_before ? end + 1 : frontier;
+      }
+      for (size_t p = from; p < to; ++p) {
+        Slot& w = slots[p];
+        if (w.placed) continue;
+        const uint64_t limit =
+            p == end ? bytes
+                     : (p + 1 < kChunks ? slots[p + 1].start : after_round).pos;
+        w.end = w.start;
+        drawer.Write(w.deferred, entries + plan.begin(p), out, bytes, limit,
+                     w.end);
+      }
     });
 
-    // The chain has passed every chunk before the one the corpus ends in,
-    // or the whole round. The deferred ones among them write now, the one
-    // the corpus ends in up to the end and the others up to the next
-    // chunk's first byte, which their words' 8-byte stores stay below.
     const size_t last = end_chunk.load(std::memory_order_relaxed);
-    sim::RunGeneratorChunks([&](size_t c) {
-      Slot& s = slots[c];
-      if ((last != kNone && c > last) || s.placed) return;
-      const uint64_t limit =
-          c == last ? bytes
-                    : (c + 1 < kChunks ? slots[c + 1].start : after_round).pos;
-      s.end = s.start;
-      drawer.Write(s.deferred, entries + plan.begin(c), out, bytes, limit,
-                   s.end);
-    });
-
     if (last != kNone) {
       corpus.words = slots[last].end.words;
       corpus.lines = slots[last].end.lines;

@@ -119,7 +119,7 @@ class TextDrawer {
   enum class Placed {
     kWritten,   // wrote every draw; `at` is where the next chunk starts
     kEnded,     // wrote up to the end of the corpus, as DrawInPlace does
-    kDeferred,  // drew the rest deferred; a second pass writes them all
+    kDeferred,  // drew the rest deferred; Write writes them all later
   };
 
   /// Finishes a chunk of `n` draws whose start `at` is known, after

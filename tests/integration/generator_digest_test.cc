@@ -446,8 +446,8 @@ void CheckPlaceAfterEveryStop(const mr::TextConfig& c, Rng& pick,
         const Placed placed =
             drawer.Place(r, n, entries.data(), chunk, got.data(), bytes, at);
         if (stop != 0 && n - stop < kWhole) {
-          // Every draw is kept and nothing is written yet; the chain and
-          // the second pass then place and write the chunk.
+          // Every draw is kept and nothing is written yet; the chain then
+          // places the chunk, and Write writes it.
           ASSERT_EQ(placed, Placed::kDeferred) << what;
           ASSERT_EQ(chunk.drawn, n) << what;
           ASSERT_TRUE(std::all_of(got.begin(), got.end(),
