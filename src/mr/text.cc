@@ -47,8 +47,10 @@ void DrawText(const TextConfig& config, ddc::AddressSpace& space,
     bool finished = false;
     bool placed = false;  // it wrote its draws; `end` is where it stopped
     bool ended = false;   // the corpus ended in it, at `end`
-    TextPlace end;
     DeferredChunk deferred;
+    // Where it stopped: set by a placed chunk itself, for a kept one by the
+    // thread that writes it.
+    TextPlace end;
   };
   Slot slots[kChunks];
   // Guards the chain: the slots' `finished` and the chunks' starts, the
