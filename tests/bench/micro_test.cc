@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace teleport::bench {
 namespace {
 
@@ -98,6 +100,56 @@ TEST(MicroTest, PsoEliminatesReaderWriterPingPong) {
   const uint64_t pso_contention = pso.coherence_messages - pso_floor;
   EXPECT_LT(pso_contention, mesi_contention / 2 + 8);
   EXPECT_LE(pso.time_ns, mesi.time_ns);
+}
+
+// Exact outputs of every scenario on the default (kIdeal) fabric backend.
+// The figures print times to 0.1 ms, so this is what locks the pushdown
+// path's timing, messages and bytes to the nanosecond.
+TEST(MicroTest, ExactOutputsOnTinyConfigs) {
+  struct Golden {
+    MicroScenario scenario;
+    Nanos time_ns;
+    uint64_t coherence_messages;
+    uint64_t net_messages;
+    uint64_t remote_bytes;
+  };
+  MicroConfig rw = TinyConfig();
+  rw.contention_rate = 0.02;
+  rw.reader_writer = true;
+  const struct {
+    MicroConfig cfg;
+    Golden rows[8];
+  } cases[] = {
+      {TinyConfig(),
+       {{MicroScenario::kLocal, 498'432, 0, 0, 0},
+        {MicroScenario::kBaseDdc, 21'538'962, 0, 10'890, 25'280'512},
+        {MicroScenario::kPushFullProcess, 2'178'584, 0, 168, 675'840},
+        {MicroScenario::kPushPerThread, 927'486, 0, 40, 151'552},
+        {MicroScenario::kPushCoherence, 930'950, 160, 162, 139'264},
+        {MicroScenario::kPushPso, 930'950, 160, 162, 139'264},
+        {MicroScenario::kPushWeakOrdering, 661'620, 0, 2, 0},
+        {MicroScenario::kPushNoCoherenceSyncmem, 555'895, 0, 3, 151'552}}},
+      {rw,
+       {{MicroScenario::kLocal, 507'550, 0, 0, 0},
+        {MicroScenario::kBaseDdc, 21'830'017, 0, 11'041, 25'821'184},
+        {MicroScenario::kPushFullProcess, 2'191'994, 0, 168, 675'840},
+        {MicroScenario::kPushPerThread, 936'604, 0, 40, 151'552},
+        {MicroScenario::kPushCoherence, 1'052'901, 274, 276, 229'376},
+        {MicroScenario::kPushPso, 987'423, 190, 192, 143'360},
+        {MicroScenario::kPushWeakOrdering, 670'738, 0, 2, 0},
+        {MicroScenario::kPushNoCoherenceSyncmem, 565'013, 0, 3, 151'552}}},
+  };
+  for (const auto& c : cases) {
+    for (const Golden& g : c.rows) {
+      SCOPED_TRACE(std::string(MicroScenarioToString(g.scenario)) +
+                   (c.cfg.reader_writer ? " (reader-writer)" : ""));
+      const MicroResult r = RunMicro(c.cfg, g.scenario);
+      EXPECT_EQ(r.time_ns, g.time_ns);
+      EXPECT_EQ(r.coherence_messages, g.coherence_messages);
+      EXPECT_EQ(r.net_messages, g.net_messages);
+      EXPECT_EQ(r.remote_bytes, g.remote_bytes);
+    }
+  }
 }
 
 TEST(MicroTest, ScenarioNamesAreStable) {
