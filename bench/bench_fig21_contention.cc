@@ -90,9 +90,9 @@ int main() {
   }
 
   std::printf("\n");
-  bench::PrintComparison("default protocol: 1%% vs lowest rate",
+  bench::PrintComparison("default protocol: 1% vs lowest rate",
                          3.7 / 2.1, default_high / default_low);
-  bench::PrintComparison("relaxed protocol: 1%% vs lowest rate", 1.0,
+  bench::PrintComparison("relaxed protocol: 1% vs lowest rate", 1.0,
                          relaxed_high / relaxed_low);
   // Shape: the default protocol degrades with contention; the relaxation
   // and the base DDC stay (nearly) flat. (Our degradation factor is milder

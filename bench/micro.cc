@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/rle.h"
 #include "common/rng.h"
 #include "ddc/memory_system.h"
 #include "sim/interleaver.h"
@@ -26,6 +25,8 @@ class UnitTask : public sim::Task {
  public:
   enum class Kind { kCompute, kMemory };
 
+  /// A pushed thread gets a null `ctx`; its PushdownTask binds it to the
+  /// session's context once the call has begun.
   UnitTask(Kind kind, ExecutionContext* ctx, const MicroConfig& cfg,
            VAddr region, VAddr shared, uint64_t ops_per_unit, uint64_t seed,
            bool upper_half)
@@ -39,6 +40,8 @@ class UnitTask : public sim::Task {
         upper_half_(upper_half),
         contend_with_reads_(cfg.reader_writer &&
                             kind == Kind::kCompute) {}
+
+  void Bind(ExecutionContext* ctx) { ctx_ = ctx; }
 
   Nanos clock() const override { return ctx_->now(); }
   bool done() const override { return units_done_ >= cfg_.accesses; }
@@ -88,140 +91,85 @@ class UnitTask : public sim::Task {
   uint64_t units_done_ = 0;
 };
 
-/// Wraps one or more body tasks in a pushdown call driven step-by-step, so
-/// a concurrent compute-pool thread can interact with the pushed function
-/// through the coherence protocol. Mirrors PushdownRuntime's cost sequence.
+/// The runtime's flags for each pushdown scenario. The syncmem scenario
+/// runs with coherence off after syncing everything by hand (§4.2).
+tp::PushdownFlags ScenarioFlags(MicroScenario scenario, VAddr region,
+                                uint64_t region_bytes) {
+  tp::PushdownFlags flags;
+  switch (scenario) {
+    case MicroScenario::kPushFullProcess:
+      flags.sync = tp::SyncStrategy::kEager;
+      break;
+    case MicroScenario::kPushPerThread:
+      // Evict only the pushed thread's memory (Fig 6).
+      flags.sync = tp::SyncStrategy::kEagerRange;
+      flags.sync_addr = region;
+      flags.sync_len = region_bytes;
+      break;
+    case MicroScenario::kPushCoherence:
+      break;
+    case MicroScenario::kPushPso:
+      flags.coherence = CoherenceMode::kPso;
+      break;
+    case MicroScenario::kPushWeakOrdering:
+      flags.coherence = CoherenceMode::kWeakOrdering;
+      break;
+    case MicroScenario::kPushNoCoherenceSyncmem:
+      flags.coherence = CoherenceMode::kNone;
+      break;
+    default:
+      TELEPORT_CHECK(false) << "not a pushdown scenario";
+  }
+  return flags;
+}
+
+/// Runs one or more bodies as one pushdown call, stepped beside the
+/// compute thread so the two interact through the coherence protocol: the
+/// runtime's Begin on the first step, the bodies back to back on the
+/// session's context, its End in the step that finishes the last body.
 class PushdownTask : public sim::Task {
  public:
   PushdownTask(MemorySystem* ms, ExecutionContext* caller,
-               std::vector<sim::Task*> bodies, MicroScenario scenario,
-               VAddr region, uint64_t region_bytes)
+               MicroScenario scenario, VAddr region, uint64_t region_bytes,
+               std::vector<std::unique_ptr<UnitTask>> bodies)
       : ms_(ms),
         caller_(caller),
-        bodies_(std::move(bodies)),
-        scenario_(scenario),
-        region_(region),
-        region_bytes_(region_bytes) {}
+        runtime_(ms),
+        session_(*caller, ScenarioFlags(scenario, region, region_bytes)),
+        syncmem_(scenario == MicroScenario::kPushNoCoherenceSyncmem),
+        bodies_(std::move(bodies)) {}
 
   Nanos clock() const override {
-    if (!started_) return caller_->now();
-    if (finished_) return caller_->now();
-    return CurrentBody()->clock();
+    return started_ && !done() ? bodies_[next_]->clock() : caller_->now();
   }
-  bool done() const override { return finished_; }
+  bool done() const override { return next_ == bodies_.size(); }
 
   void Step() override {
     if (!started_) {
-      Setup();
+      if (syncmem_) ms_->Syncmem(*caller_, 0, ms_->space().used_bytes());
+      TELEPORT_CHECK(runtime_.Begin(session_).ok());
+      for (auto& body : bodies_) body->Bind(&session_.ctx());
       started_ = true;
       return;
     }
-    sim::Task* body = CurrentBody();
-    if (!body->done()) body->Step();
-    while (body_index_ < bodies_.size() && bodies_[body_index_]->done()) {
-      const size_t finished = body_index_;
-      ++body_index_;
-      // Bodies share the memory pool's single core: the next one resumes
-      // where the previous one left off on the timeline.
-      if (body_index_ < bodies_.size() && finished < mem_ctxs_.size() &&
-          body_index_ < mem_ctxs_.size()) {
-        mem_ctxs_[body_index_]->clock().AdvanceTo(
-            mem_ctxs_[finished]->now());
-      }
+    bodies_[next_]->Step();
+    // Bodies share the memory pool's single core: the next one resumes
+    // where the previous one left off on the timeline.
+    while (!done() && bodies_[next_]->done()) ++next_;
+    if (done()) {
+      TELEPORT_CHECK(runtime_.End(session_, Status::OK()).ok());
     }
-    if (body_index_ >= bodies_.size()) Teardown();
-  }
-
-  /// The memory-side contexts the bodies run in must have their clocks
-  /// aligned to the post-setup time; Setup() does that through this hook.
-  void AddMemContext(ExecutionContext* mem_ctx) {
-    mem_ctxs_.push_back(mem_ctx);
   }
 
  private:
-  sim::Task* CurrentBody() const {
-    return bodies_[body_index_ < bodies_.size() ? body_index_
-                                                : bodies_.size() - 1];
-  }
-
-  void Setup() {
-    const auto& params = ms_->params();
-    uint64_t req_bytes = tp::kPushdownRequestBytes;
-    uint64_t resident = 0;
-    CoherenceMode mode = CoherenceMode::kNone;
-    switch (scenario_) {
-      case MicroScenario::kPushCoherence:
-      case MicroScenario::kPushPso:
-      case MicroScenario::kPushWeakOrdering: {
-        const auto pages = ms_->ResidentPages();
-        resident = pages.size();
-        caller_->AdvanceTime(static_cast<Nanos>(resident) *
-                             params.resident_scan_ns);
-        req_bytes += RleSizeBytes(RleEncode(pages));
-        mode = scenario_ == MicroScenario::kPushCoherence
-                   ? CoherenceMode::kMesi
-                   : (scenario_ == MicroScenario::kPushPso
-                          ? CoherenceMode::kPso
-                          : CoherenceMode::kWeakOrdering);
-        break;
-      }
-      case MicroScenario::kPushNoCoherenceSyncmem:
-        // Manual pre-synchronization of everything dirty (§4.2).
-        ms_->Syncmem(*caller_, 0, ms_->space().used_bytes());
-        break;
-      case MicroScenario::kPushPerThread:
-        // Evict only the pushed thread's memory (Fig 6).
-        ms_->FlushRange(*caller_, region_, region_bytes_, /*drop=*/true);
-        break;
-      case MicroScenario::kPushFullProcess:
-        flushed_ = ms_->FlushAllCache(*caller_, /*drop=*/true);
-        break;
-      default:
-        TELEPORT_CHECK(false) << "not a pushdown scenario";
-    }
-    const Nanos arrive =
-        ms_->fabric().SendToMemory(net::Link{}, caller_->now(), req_bytes);
-    caller_->metrics().net_messages += 1;
-    caller_->metrics().net_bytes += req_bytes;
-    ms_->BeginPushdownSession(mode);
-    const Nanos setup_ns = params.context_fixed_ns +
-                           static_cast<Nanos>(resident) * params.pte_clone_ns;
-    for (ExecutionContext* mc : mem_ctxs_) {
-      mc->clock().Reset(arrive + setup_ns);
-    }
-  }
-
-  void Teardown() {
-    const auto& params = ms_->params();
-    ms_->EndPushdownSession();
-    Nanos end = 0;
-    for (ExecutionContext* mc : mem_ctxs_) {
-      if (mc->now() > end) end = mc->now();
-    }
-    const Nanos resp = ms_->fabric().SendToCompute(
-        net::Link{}, end + params.context_fixed_ns / 4,
-        tp::kPushdownResponseBytes);
-    caller_->metrics().net_messages += 1;
-    caller_->metrics().net_bytes += tp::kPushdownResponseBytes;
-    caller_->clock().AdvanceTo(resp);
-    if (scenario_ == MicroScenario::kPushFullProcess) {
-      ms_->BulkRefetch(*caller_, flushed_);
-    }
-    caller_->metrics().pushdown_calls += 1;
-    finished_ = true;
-  }
-
   MemorySystem* ms_;
   ExecutionContext* caller_;
-  std::vector<sim::Task*> bodies_;
-  size_t body_index_ = 0;
-  MicroScenario scenario_;
-  VAddr region_;
-  uint64_t region_bytes_;
-  uint64_t flushed_ = 0;
+  tp::PushdownRuntime runtime_;
+  tp::PushdownSession session_;
+  bool syncmem_;
+  std::vector<std::unique_ptr<UnitTask>> bodies_;
+  size_t next_ = 0;
   bool started_ = false;
-  bool finished_ = false;
-  std::vector<ExecutionContext*> mem_ctxs_;
 };
 
 }  // namespace
@@ -312,59 +260,45 @@ MicroResult RunMicro(const MicroConfig& cfg, MicroScenario scenario) {
       tasks.push_back(std::make_unique<UnitTask>(
           UnitTask::Kind::kMemory, cb, cfg, region, shared, ops_per_unit,
           cfg.seed + 3, /*upper_half=*/true));
+      for (auto& t : tasks) il.Add(t.get());
       break;
     }
     case MicroScenario::kPushFullProcess: {
       // Both threads migrate; they serialize on the memory pool's single
-      // core (§4's naive baseline): the PushdownTask runs body A to
-      // completion, then body B resuming at A's finish time.
-      auto* caller = new_ctx(ddc::Pool::kCompute);
-      auto* ma = new_ctx(ddc::Pool::kMemory);
-      auto* mb = new_ctx(ddc::Pool::kMemory);
-      auto body_a = std::make_unique<UnitTask>(
-          UnitTask::Kind::kCompute, ma, cfg, region, shared, ops_per_unit,
-          cfg.seed + 2, false);
-      auto body_b = std::make_unique<UnitTask>(
-          UnitTask::Kind::kMemory, mb, cfg, region, shared, ops_per_unit,
-          cfg.seed + 3, true);
-      auto push = std::make_unique<PushdownTask>(
-          &ms, caller, std::vector<sim::Task*>{body_a.get(), body_b.get()},
-          scenario, region, cfg.region_bytes);
-      push->AddMemContext(ma);
-      push->AddMemContext(mb);
-      tasks.push_back(std::move(body_a));  // owned here; driven via push
-      tasks.push_back(std::move(body_b));
-      il.Add(push.get());
-      tasks.push_back(std::move(push));
+      // core (§4's naive baseline): the session runs body A to completion,
+      // then body B from A's finish time.
+      std::vector<std::unique_ptr<UnitTask>> bodies;
+      bodies.push_back(std::make_unique<UnitTask>(
+          UnitTask::Kind::kCompute, nullptr, cfg, region, shared,
+          ops_per_unit, cfg.seed + 2, false));
+      bodies.push_back(std::make_unique<UnitTask>(
+          UnitTask::Kind::kMemory, nullptr, cfg, region, shared, ops_per_unit,
+          cfg.seed + 3, true));
+      tasks.push_back(std::make_unique<PushdownTask>(
+          &ms, new_ctx(ddc::Pool::kCompute), scenario, region,
+          cfg.region_bytes, std::move(bodies)));
+      il.Add(tasks.back().get());
       break;
     }
     default: {
       // Compute thread stays; memory thread is pushed down.
       auto* ca = new_ctx(ddc::Pool::kCompute);
       auto* caller = new_ctx(ddc::Pool::kCompute);
-      auto* mb = new_ctx(ddc::Pool::kMemory);
       tasks.push_back(std::make_unique<UnitTask>(
           UnitTask::Kind::kCompute, ca, cfg, region, shared, ops_per_unit,
           cfg.seed + 2, false));
       il.Add(tasks.back().get());
-      auto body = std::make_unique<UnitTask>(
-          UnitTask::Kind::kMemory, mb, cfg, region, shared, ops_per_unit,
-          cfg.seed + 3, true);
-      auto push = std::make_unique<PushdownTask>(
-          &ms, caller, std::vector<sim::Task*>{body.get()}, scenario, region,
-          cfg.region_bytes);
-      push->AddMemContext(mb);
-      il.Add(push.get());
-      tasks.push_back(std::move(body));
-      tasks.push_back(std::move(push));
+      std::vector<std::unique_ptr<UnitTask>> bodies;
+      bodies.push_back(std::make_unique<UnitTask>(
+          UnitTask::Kind::kMemory, nullptr, cfg, region, shared, ops_per_unit,
+          cfg.seed + 3, true));
+      tasks.push_back(std::make_unique<PushdownTask>(
+          &ms, caller, scenario, region, cfg.region_bytes, std::move(bodies)));
+      il.Add(tasks.back().get());
       break;
     }
   }
 
-  if (scenario == MicroScenario::kLocal ||
-      scenario == MicroScenario::kBaseDdc) {
-    for (auto& t : tasks) il.Add(t.get());
-  }
   result.time_ns = il.Run();
 
   // The syncmem variant pays its manual post-synchronization once at the

@@ -720,9 +720,9 @@ std::vector<PageEntry> MemorySystem::ResidentPages() const {
   return out;  // sorted by construction
 }
 
-uint64_t MemorySystem::BeginPushdownSession(CoherenceMode mode,
-                                            uint64_t admit_epoch,
-                                            int home_shard) {
+void MemorySystem::BeginPushdownSession(CoherenceMode mode,
+                                        uint64_t admit_epoch,
+                                        int home_shard) {
   EnsurePageTables();
   if (pushdown_active_) {
     // Concurrent request from another thread of the same process: shares
@@ -730,7 +730,7 @@ uint64_t MemorySystem::BeginPushdownSession(CoherenceMode mode,
     TELEPORT_CHECK(mode == coherence_mode_)
         << "concurrent pushdown sessions must agree on coherence mode";
     ++session_refcount_;
-    return pages_.size();
+    return;
   }
   pushdown_active_ = true;
   session_refcount_ = 1;
@@ -761,7 +761,6 @@ uint64_t MemorySystem::BeginPushdownSession(CoherenceMode mode,
   Notify(CoherenceEvent::Kind::kSessionBegin, 0, false, 0,
          admit_epoch == kCurrentEpoch ? pool_epoch(home_shard) : admit_epoch,
          home_shard);
-  return pages_.size();
 }
 
 void MemorySystem::EndPushdownSession(ExecutionContext* ctx) {

@@ -195,8 +195,7 @@ class MemorySystem {
   std::vector<PageEntry> ResidentPages() const;
 
   /// Runs the Fig-8 temporary-context page-table preparation and activates
-  /// the coherence protocol in the given mode. Returns the number of PTEs
-  /// processed (the size of the cloned full page table).
+  /// the coherence protocol in the given mode.
   ///
   /// Sessions are reference-counted: concurrent pushdown requests from the
   /// same process share one temporary context and page table (§3.2); nested
@@ -210,9 +209,9 @@ class MemorySystem {
   /// so the model checker can assert no stale-epoch session ever starts on
   /// any shard.
   static constexpr uint64_t kCurrentEpoch = ~uint64_t{0};
-  uint64_t BeginPushdownSession(CoherenceMode mode,
-                                uint64_t admit_epoch = kCurrentEpoch,
-                                int home_shard = 0);
+  void BeginPushdownSession(CoherenceMode mode,
+                            uint64_t admit_epoch = kCurrentEpoch,
+                            int home_shard = 0);
 
   /// Merges temporary-context dirty bits back into the full page table and
   /// deactivates coherence once the last concurrent session ends. No fabric

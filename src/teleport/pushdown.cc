@@ -1,6 +1,7 @@
 #include "teleport/pushdown.h"
 
 #include <algorithm>
+#include <optional>
 #include <queue>
 #include <sstream>
 
@@ -147,17 +148,37 @@ Status PushdownRuntime::CheckHeartbeat(ddc::ExecutionContext& ctx,
   return Status::OK();
 }
 
+/// What Begin's stages hand on to each other: the request's identity,
+/// size and delivery, and when it starts executing on the home shard.
+struct PushdownRuntime::Request {
+  /// Every shard's epoch the request is admitted under.
+  std::vector<uint64_t> admit_epochs;
+  uint64_t token = 0;  ///< idempotency token of the call
+  uint64_t bytes = kPushdownRequestBytes;
+  uint64_t resident = 0;  ///< entries of the resident-page list
+  ddc::CoherenceMode mode = ddc::CoherenceMode::kMesi;  ///< the session's
+  Nanos arrive = 0;
+  int copies = 1;  ///< delivered copies presenting the token
+  Nanos start = 0;
+  Nanos fence_ns = 0;
+};
+
 Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
                                  void* arg, const PushdownFlags& flags) {
+  PushdownSession s(caller, flags);
+  const Status st = Begin(s);
+  return st.ok() ? End(s, fn(s.ctx(), arg)) : st;
+}
+
+Status PushdownRuntime::Begin(PushdownSession& s) {
+  ddc::ExecutionContext& caller = s.caller_;
   TELEPORT_CHECK(caller.pool() == ddc::Pool::kCompute)
       << "pushdown must be called from the compute pool";
-  const auto& params = ms_->params();
-  const int home = flags.home_shard;
+  const int home = s.flags_.home_shard;
   TELEPORT_CHECK(home >= 0 && home < ms_->memory_shards())
       << "home shard " << home << " outside the rack's "
       << ms_->memory_shards() << " shards";
-  const net::Link link{static_cast<int>(caller.node()), home};
-  PushdownBreakdown bd;
+  s.link_ = net::Link{static_cast<int>(caller.node()), home};
 
   // Materialize any memory-node crash-restart that completed before this
   // call. Journal-off (the seed's lossy mode) the restarted pool simply
@@ -171,109 +192,132 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
 
   if (panicked_ || ms_->fabric().HardDownAt(caller.now(), home)) {
     panicked_ = true;
-    caller.AdvanceTime(params.net_latency_ns * 2);
+    caller.AdvanceTime(ms_->params().net_latency_ns * 2);
     return RecoveryStatus(RecoveryFault::kUnreachable);
   }
 
-  const Nanos t0 = caller.now();
+  s.t0_ = caller.now();
   // Lease + idempotency identity of this call (PR6, sharded in PR7): the
   // call snapshots every shard's admission epoch — its touches may fault
   // pages of any shard — and each shard fences independently: a recovery of
   // shard k invalidates only admit_epochs[k]. The token lets the home
   // shard's controller deduplicate redelivered copies.
-  std::vector<uint64_t> admit_epochs(
-      static_cast<size_t>(ms_->memory_shards()));
+  Request req;
+  req.admit_epochs.resize(static_cast<size_t>(ms_->memory_shards()));
   for (int k = 0; k < ms_->memory_shards(); ++k) {
-    admit_epochs[static_cast<size_t>(k)] = ms_->pool_epoch(k);
+    req.admit_epochs[static_cast<size_t>(k)] = ms_->pool_epoch(k);
   }
-  const uint64_t token = ++next_token_;
+  req.token = ++next_token_;
 
+  PreSync(s, req);
+  if (std::optional<Status> over = SendRequest(s, req)) return *over;
+  if (std::optional<Status> over = Enqueue(s, req)) return *over;
+  if (std::optional<Status> over = TryCancel(s, req)) return *over;
+  s.bd_.queue_wait_ns = req.start - req.arrive - req.fence_ns;
+  SetUpContext(s, req);
+  return Status::OK();
+}
+
+void PushdownRuntime::PreSync(PushdownSession& s, Request& req) {
   // (1) Pre-pushdown synchronization.
-  uint64_t req_bytes = kPushdownRequestBytes;
-  uint64_t eager_flushed = 0;
-  uint64_t resident_count = 0;
-  ddc::CoherenceMode session_mode = flags.coherence;
+  ddc::ExecutionContext& caller = s.caller_;
+  const PushdownFlags& flags = s.flags_;
+  req.mode = flags.coherence;
   switch (flags.sync) {
     case SyncStrategy::kOnDemand: {
+      // A kNone session maps every page writable and never reads the
+      // resident list, so it sends none and clones no PTEs.
+      if (flags.coherence == ddc::CoherenceMode::kNone) break;
       // Build and RLE-compress the resident page list (§4.1, §6).
       const std::vector<PageEntry> resident = ms_->ResidentPages();
-      resident_count = resident.size();
+      req.resident = resident.size();
       caller.AdvanceTime(static_cast<Nanos>(resident.size()) *
-                         params.resident_scan_ns);
+                         ms_->params().resident_scan_ns);
       const std::vector<PageRun> runs = RleEncode(resident);
       const uint64_t raw = RawSizeBytes(resident.size());
       const uint64_t rle = RleSizeBytes(runs);
       last_page_list_compression_ =
           rle == 0 ? 1.0 : static_cast<double>(raw) / static_cast<double>(rle);
-      req_bytes += rle;
+      req.bytes += rle;
       break;
     }
     case SyncStrategy::kEager:
-      eager_flushed = ms_->FlushAllCache(caller, /*drop=*/true);
-      session_mode = ddc::CoherenceMode::kNone;  // everything already synced
+      s.eager_flushed_ = ms_->FlushAllCache(caller, /*drop=*/true);
+      req.mode = ddc::CoherenceMode::kNone;  // everything already synced
       break;
     case SyncStrategy::kEagerRange:
       TELEPORT_CHECK(flags.sync_len > 0)
           << "kEagerRange requires sync_addr/sync_len";
       ms_->FlushRange(caller, flags.sync_addr, flags.sync_len, /*drop=*/true);
-      session_mode = ddc::CoherenceMode::kNone;
+      req.mode = ddc::CoherenceMode::kNone;
       break;
   }
-  bd.pre_sync_ns = caller.now() - t0;
+  s.bd_.pre_sync_ns = caller.now() - s.t0_;
+}
 
+std::optional<Status> PushdownRuntime::SendRequest(PushdownSession& s,
+                                                   Request& req) {
   // (2) Request transfer over the fabric (single RDMA message, §6). The
   // send is fault-visible: a dropped request costs one RTO plus backoff
   // before the retransmit (§3.2).
+  ddc::ExecutionContext& caller = s.caller_;
+  const int home = s.flags_.home_shard;
   const Nanos send_time = caller.now();
   if (sim::Tracer* tracer = ms_->tracer()) {
     tracer->Instant("pushdown", "Dispatch", send_time, sim::kTrackCompute);
   }
-  const RetryResult req = Retry(
+  const RetryResult sent = Retry(
       ms_->fabric(), home, RetryPolicy{}, retry_rng_, send_time,
       /*rounds=*/1,
       [&](Nanos t) {
         return ms_->fabric().TrySendToMemory(
-            link, t, req_bytes, net::MessageKind::kPushdownRequest);
+            s.link_, t, req.bytes, net::MessageKind::kPushdownRequest);
       },
       [&](Nanos t) {
         if (sim::Tracer* tracer = ms_->tracer()) {
           tracer->Instant("pushdown", "RetryRequest", t, sim::kTrackCompute);
         }
       });
-  CountRetries(caller, req.retries);
-  bd.retry_ns += req.waited;
-  Nanos arrive = req.outcome.deliver_at;
-  int req_copies = req.outcome.copies;  ///< copies presenting the token
-  if (!req.delivered) {
-    if (flags.fallback == FallbackPolicy::kLocal &&
-        ms_->fabric().NextReachableAt(req.at, home) !=
+  CountRetries(caller, sent.retries);
+  s.bd_.retry_ns += sent.waited;
+  req.arrive = sent.outcome.deliver_at;
+  req.copies = sent.outcome.copies;
+  if (!sent.delivered) {
+    if (s.flags_.fallback == FallbackPolicy::kLocal &&
+        ms_->fabric().NextReachableAt(sent.at, home) !=
             net::Fabric::kNeverHeals) {
       // Restartable pool but the retry budget is spent: §3.2 escape
       // hatch — run the function locally instead of failing the call.
-      caller.clock().AdvanceTo(req.at);
-      return RunLocalFallback(caller, fn, arg, bd, t0,
-                              /*cancel_sent=*/false, link, flags.kernel);
+      caller.clock().AdvanceTo(sent.at);
+      return StartLocal(s, /*cancel_sent=*/false);
     }
     // No fallback requested: hand the request to the reliable transport,
     // which retransmits below the RPC layer and cannot lose it.
-    arrive = ms_->fabric().SendToMemory(link, req.at, req_bytes,
-                                        net::MessageKind::kPushdownRequest);
-    req_copies = 1;
+    req.arrive = ms_->fabric().SendToMemory(
+        s.link_, sent.at, req.bytes, net::MessageKind::kPushdownRequest);
+    req.copies = 1;
   }
   caller.metrics().net_messages += 1;
-  caller.metrics().net_bytes += req_bytes;
-  bd.request_transfer_ns = arrive - send_time - bd.retry_ns;
+  caller.metrics().net_bytes += req.bytes;
+  s.bd_.request_transfer_ns = req.arrive - send_time - s.bd_.retry_ns;
+  return std::nullopt;
+}
 
+std::optional<Status> PushdownRuntime::Enqueue(PushdownSession& s,
+                                               Request& req) {
   // Queue for a free memory-pool instance of the HOME shard (FIFO
   // workqueue, §3.2; per-shard in PR7 — each shard owns its pool cores).
   // A small probe the SmartNIC backend offloads executes NIC-side instead:
   // it never waits for (or occupies) a host instance, which is what shifts
   // the small-message latency knee under load.
+  ddc::ExecutionContext& caller = s.caller_;
+  const int home = s.flags_.home_shard;
   const bool nic_side = ms_->fabric().SmartNicOffloaded(
-      net::MessageKind::kPushdownRequest, req_bytes);
+      net::MessageKind::kPushdownRequest, req.bytes);
   std::vector<Nanos>& shard_slots = instance_free_[static_cast<size_t>(home)];
-  auto slot = std::min_element(shard_slots.begin(), shard_slots.end());
-  Nanos start = nic_side ? arrive : std::max(arrive, *slot);
+  Nanos* slot = &*std::min_element(shard_slots.begin(), shard_slots.end());
+  s.slot_ = nic_side ? nullptr : slot;
+  req.start = nic_side ? req.arrive : std::max(req.arrive, *slot);
 
   // Lease fencing (PR6, per-shard in PR7): if a crash-restart window of any
   // shard completed while the request was in flight or queued, that shard
@@ -285,98 +329,94 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   // the 1x1 message sequence). Journal-off keeps the seed's lossy behavior:
   // restarts materialize lazily at the next quiescent point, with no
   // fencing.
-  Nanos fence_ns = 0;
-  if (ms_->journal_enabled()) {
-    const auto any_stale = [&]() {
-      for (int k = 0; k < ms_->memory_shards(); ++k) {
-        if (ms_->pool_epoch(k) != admit_epochs[static_cast<size_t>(k)]) {
-          return true;
-        }
+  if (!ms_->journal_enabled()) return std::nullopt;
+  const auto any_stale = [&]() {
+    for (int k = 0; k < ms_->memory_shards(); ++k) {
+      if (ms_->pool_epoch(k) != req.admit_epochs[static_cast<size_t>(k)]) {
+        return true;
       }
-      return false;
-    };
-    for (int admit = 0; admit < 4; ++admit) {
-      const ddc::MemorySystem::RestartOutcome ro =
-          ms_->ApplyPoolRestartsAt(caller, start);
-      start += ro.recovery_ns;
-      fence_ns += ro.recovery_ns;
-      if (!any_stale()) break;
-      if (ms_->protocol_mutation() == ddc::ProtocolMutation::kSkipFencing) {
-        break;  // planted bug: the pool executes the stale-epoch request
-      }
-      // kFenced rejection: a small reply back to the caller, then a fresh
-      // request under the new epochs. All of it is recovery time.
-      ++fenced_rpcs_;
-      ++caller.metrics().fenced_rpcs;
-      if (sim::Tracer* tracer = ms_->tracer()) {
-        tracer->Instant("pushdown", "Fenced", start, sim::kTrackMemoryPool,
-                        "\"epoch\":" + std::to_string(ms_->pool_epoch(home)));
-      }
-      const Nanos rej_arrive = ms_->fabric().SendToCompute(
-          link, start, 64, net::MessageKind::kPushdownResponse);
-      const Nanos rearrive = ms_->fabric().SendToMemory(
-          link, rej_arrive, req_bytes, net::MessageKind::kPushdownRequest);
-      caller.metrics().net_messages += 2;
-      caller.metrics().net_bytes += 64 + req_bytes;
-      for (int k = 0; k < ms_->memory_shards(); ++k) {
-        admit_epochs[static_cast<size_t>(k)] = ms_->pool_epoch(k);
-      }
-      const Nanos prev_start = start;
-      start = nic_side ? rearrive : std::max(rearrive, *slot);
-      fence_ns += start - prev_start;
     }
-    if (any_stale() &&
-        ms_->protocol_mutation() != ddc::ProtocolMutation::kSkipFencing) {
-      // Re-admission budget exhausted (restarts kept completing under us).
-      bd.retry_ns += fence_ns;
-      caller.clock().AdvanceTo(start);
-      if (flags.fallback == FallbackPolicy::kLocal &&
-          ms_->fabric().NextReachableAt(start, home) !=
-              net::Fabric::kNeverHeals) {
-        return RunLocalFallback(caller, fn, arg, bd, t0,
-                                /*cancel_sent=*/false, link, flags.kernel);
-      }
-      return RecoveryStatus(RecoveryFault::kFenced);
+    return false;
+  };
+  const bool skip_fencing =
+      ms_->protocol_mutation() == ddc::ProtocolMutation::kSkipFencing;
+  for (int admit = 0; admit < 4; ++admit) {
+    const ddc::MemorySystem::RestartOutcome ro =
+        ms_->ApplyPoolRestartsAt(caller, req.start);
+    req.start += ro.recovery_ns;
+    req.fence_ns += ro.recovery_ns;
+    if (!any_stale()) break;
+    if (skip_fencing) break;  // planted bug: the pool executes the request
+    // kFenced rejection: a small reply back to the caller, then a fresh
+    // request under the new epochs. All of it is recovery time.
+    ++fenced_rpcs_;
+    ++caller.metrics().fenced_rpcs;
+    if (sim::Tracer* tracer = ms_->tracer()) {
+      tracer->Instant("pushdown", "Fenced", req.start, sim::kTrackMemoryPool,
+                      "\"epoch\":" + std::to_string(ms_->pool_epoch(home)));
     }
+    const Nanos rej_arrive = ms_->fabric().SendToCompute(
+        s.link_, req.start, 64, net::MessageKind::kPushdownResponse);
+    const Nanos rearrive = ms_->fabric().SendToMemory(
+        s.link_, rej_arrive, req.bytes, net::MessageKind::kPushdownRequest);
+    caller.metrics().net_messages += 2;
+    caller.metrics().net_bytes += 64 + req.bytes;
+    for (int k = 0; k < ms_->memory_shards(); ++k) {
+      req.admit_epochs[static_cast<size_t>(k)] = ms_->pool_epoch(k);
+    }
+    const Nanos prev_start = req.start;
+    req.start = nic_side ? rearrive : std::max(rearrive, *slot);
+    req.fence_ns += req.start - prev_start;
   }
-  bd.retry_ns += fence_ns;
+  s.bd_.retry_ns += req.fence_ns;
+  if (!any_stale() || skip_fencing) return std::nullopt;
+  // Re-admission budget exhausted (restarts kept completing under us).
+  caller.clock().AdvanceTo(req.start);
+  if (s.flags_.fallback == FallbackPolicy::kLocal &&
+      ms_->fabric().NextReachableAt(req.start, home) !=
+          net::Fabric::kNeverHeals) {
+    return StartLocal(s, /*cancel_sent=*/false);
+  }
+  return RecoveryStatus(RecoveryFault::kFenced);
+}
 
+std::optional<Status> PushdownRuntime::TryCancel(PushdownSession& s,
+                                                 const Request& req) {
   // Timeout / try_cancel (§3.2): cancellation succeeds only if the request
-  // has not started executing when the cancel arrives.
-  if (flags.timeout_ns > 0) {
-    const Nanos cancel_sent = t0 + flags.timeout_ns;
-    const Nanos cancel_arrives = cancel_sent + params.NetTransfer(64);
-    if (start > cancel_arrives) {
-      const Nanos done = ms_->fabric().RoundTripFromCompute(
-          link, cancel_sent, 64, 64, params.fault_handler_ns,
-          net::MessageKind::kTryCancel, net::MessageKind::kTryCancel);
-      caller.clock().AdvanceTo(done);
-      caller.metrics().net_messages += 2;
-      caller.metrics().net_bytes += 128;
-      ++cancelled_calls_;
-      if (sim::Tracer* tracer = ms_->tracer()) {
-        tracer->Instant("pushdown", "TryCancel", cancel_sent,
-                        sim::kTrackCompute);
-      }
-      // The caller abandoned the request mid-flight: it never waited for
-      // the (possibly fault-delayed) delivery, so the transfer time is not
-      // part of its timeline. Leaving it in the breakdown would misattribute
-      // the cancel wait and drive retry_ns negative under the conservation
-      // rebalance in RunLocalFallback.
-      bd.request_transfer_ns = 0;
-      if (flags.fallback == FallbackPolicy::kLocal) {
-        // §3.2: "the application is then free to execute the function
-        // locally" — do so transparently instead of surfacing TimedOut.
-        return RunLocalFallback(caller, fn, arg, bd, t0,
-                                /*cancel_sent=*/true, link, flags.kernel);
-      }
-      return Status::TimedOut("pushdown cancelled before execution");
-    }
-    // Already running (or about to): the memory pool declines to cancel and
-    // the application waits for completion.
+  // has not started executing when the cancel arrives. Otherwise the
+  // memory pool declines to cancel and the application waits for
+  // completion.
+  ddc::ExecutionContext& caller = s.caller_;
+  const PushdownFlags& flags = s.flags_;
+  if (flags.timeout_ns <= 0) return std::nullopt;
+  const Nanos cancel_sent = s.t0_ + flags.timeout_ns;
+  const Nanos cancel_arrives = cancel_sent + ms_->params().NetTransfer(64);
+  if (req.start <= cancel_arrives) return std::nullopt;
+  const Nanos done = ms_->fabric().RoundTripFromCompute(
+      s.link_, cancel_sent, 64, 64, ms_->params().fault_handler_ns,
+      net::MessageKind::kTryCancel, net::MessageKind::kTryCancel);
+  caller.clock().AdvanceTo(done);
+  caller.metrics().net_messages += 2;
+  caller.metrics().net_bytes += 128;
+  ++cancelled_calls_;
+  if (sim::Tracer* tracer = ms_->tracer()) {
+    tracer->Instant("pushdown", "TryCancel", cancel_sent, sim::kTrackCompute);
   }
-  bd.queue_wait_ns = start - arrive - fence_ns;
+  // The caller abandoned the request mid-flight: it never waited for the
+  // (possibly fault-delayed) delivery, so the transfer time is not part of
+  // its timeline. Leaving it in the breakdown would misattribute the cancel
+  // wait and drive retry_ns negative under the conservation rebalance in
+  // End.
+  s.bd_.request_transfer_ns = 0;
+  if (flags.fallback == FallbackPolicy::kLocal) {
+    // §3.2: "the application is then free to execute the function
+    // locally" — do so transparently instead of surfacing TimedOut.
+    return StartLocal(s, /*cancel_sent=*/true);
+  }
+  return Status::TimedOut("pushdown cancelled before execution");
+}
 
+void PushdownRuntime::SetUpContext(PushdownSession& s, const Request& req) {
   // (3) Temporary user context setup (vfork-like attach, Fig 8). The table
   // clone is lazy/COW; the real per-entry work is checking and invalidating
   // the PTEs named in the resident list (§7.5: setup time grows with the
@@ -385,35 +425,78 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   // Exactly-once admission: every delivered copy of the request presents
   // the call's idempotency token; the pool's dedup table admits the first
   // and absorbs the rest (injected duplicates, capped retries).
+  const auto& params = ms_->params();
+  const int home = s.flags_.home_shard;
   bool execute = false;
-  for (int c = 0; c < req_copies; ++c) {
-    const bool admitted = ms_->AdmitPushdown(caller, token, start, home);
+  for (int c = 0; c < req.copies; ++c) {
+    const bool admitted = ms_->AdmitPushdown(s.caller_, req.token, req.start,
+                                             home);
     execute = execute || admitted;
   }
   TELEPORT_CHECK(execute)
-      << "first delivery of pushdown token " << token << " must execute";
+      << "first delivery of pushdown token " << req.token
+      << " must execute";
 
-  const uint64_t npte = ms_->BeginPushdownSession(
-      session_mode, admit_epochs[static_cast<size_t>(home)], home);
-  (void)npte;
-  const Nanos setup_ns =
+  ms_->BeginPushdownSession(req.mode,
+                            req.admit_epochs[static_cast<size_t>(home)], home);
+  s.bd_.context_setup_ns =
       params.context_fixed_ns +
-      static_cast<Nanos>(resident_count) * params.pte_clone_ns;
-  bd.context_setup_ns = setup_ns;
+      static_cast<Nanos>(req.resident) * params.pte_clone_ns;
 
   // (4) Function execution in the home shard's user context, on behalf of
-  // the caller's tenant. The context lives on this frame: it dies with the
-  // call, and one per call on the heap cost a malloc and free each.
-  ddc::ExecutionContext mem_ctx(ms_, ddc::Pool::kMemory, home,
-                                caller.tenant());
-  mem_ctx.clock().Reset(start + setup_ns);
+  // the caller's tenant, from the end of the set-up.
+  s.body_start_ = req.start + s.bd_.context_setup_ns;
+  s.mem_ctx_.clock().Reset(s.body_start_);
   // The caller's task is blocked on this call: hand its cooperative yield
   // hook to the kernel so memory-side retry loops (seqlock probes racing a
   // structural writer) preempt like the caller would, instead of spinning
   // the schedule into a livelock against a suspended writer.
-  mem_ctx.set_yield_hook(caller.yield_fn(), caller.yield_arg());
-  Status st = fn(mem_ctx, arg);
-  const Nanos fn_total = mem_ctx.now() - (start + setup_ns);
+  s.mem_ctx_.set_yield_hook(s.caller_.yield_fn(), s.caller_.yield_arg());
+}
+
+Status PushdownRuntime::StartLocal(PushdownSession& s, bool cancel_sent) {
+  ddc::ExecutionContext& caller = s.caller_;
+  if (!cancel_sent) {
+    // Best-effort try_cancel so a late-delivered request is not executed by
+    // the pool as well; a drop is acceptable — the pool discards requests
+    // whose caller already gave up on them.
+    const net::SendOutcome probe = ms_->fabric().TrySendToMemory(
+        s.link_, caller.now(), 64, net::MessageKind::kTryCancel);
+    if (probe.delivered) {
+      caller.metrics().net_messages += 1;
+      caller.metrics().net_bytes += 64;
+    }
+  }
+  // Local execution in the caller's own context: pages the function needs
+  // come in through ordinary demand paging (which itself rides the retry
+  // layer while the pool recovers).
+  s.local_ = true;
+  s.body_start_ = caller.now();
+  if (sim::Tracer* tracer = ms_->tracer()) {
+    tracer->Instant("pushdown", "LocalFallback", s.body_start_,
+                    sim::kTrackCompute);
+  }
+  return Status::OK();
+}
+
+Status PushdownRuntime::End(PushdownSession& s, Status st) {
+  ddc::ExecutionContext& caller = s.caller_;
+  PushdownBreakdown& bd = s.bd_;
+  if (s.local_) {
+    bd.function_exec_ns = caller.now() - s.body_start_;
+    // Everything else the caller waited on — exhausted attempts, backoff,
+    // outage waits, the cancel round trip — is recovery time, so the
+    // breakdown still sums exactly to the caller's elapsed time.
+    const Nanos other = bd.Total() - bd.retry_ns;
+    bd.retry_ns = (caller.now() - s.t0_) - other;
+    ++fallback_calls_;
+    caller.metrics().fallbacks += 1;
+    caller.metrics().pushdown_calls += 1;
+    FinishCall(bd, s.t0_, /*fallback=*/true, s.flags_.kernel);
+    return st;
+  }
+  ddc::ExecutionContext& mem_ctx = s.mem_ctx_;
+  const Nanos fn_total = mem_ctx.now() - s.body_start_;
   bd.online_sync_ns = mem_ctx.coherence_ns();
   bd.function_exec_ns = fn_total - bd.online_sync_ns;
   if (fn_total > kKillTimeoutNs && st.ok()) {
@@ -434,14 +517,14 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   // (5) Response transfer; the instance is recycled. A dropped response is
   // retransmitted by the memory side (the function already executed — it is
   // never re-run); after the retry budget the reliable transport carries it.
-  const Nanos resp_sent = mem_ctx.now() + params.context_fixed_ns / 4;
-  if (!nic_side) *slot = resp_sent;  // NIC-side probes held no host instance
+  const Nanos resp_sent = mem_ctx.now() + ms_->params().context_fixed_ns / 4;
+  if (s.slot_ != nullptr) *s.slot_ = resp_sent;
   const RetryResult resp = Retry(
-      ms_->fabric(), home, RetryPolicy{}, retry_rng_, resp_sent,
-      /*rounds=*/1,
+      ms_->fabric(), s.flags_.home_shard, RetryPolicy{}, retry_rng_,
+      resp_sent, /*rounds=*/1,
       [&](Nanos t) {
         return ms_->fabric().TrySendToCompute(
-            link, t, kPushdownResponseBytes,
+            s.link_, t, kPushdownResponseBytes,
             net::MessageKind::kPushdownResponse);
       },
       [&](Nanos t) {
@@ -454,7 +537,7 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   const Nanos resp_arrive =
       resp.delivered ? resp.outcome.deliver_at
                      : ms_->fabric().SendToCompute(
-                           link, resp.at, kPushdownResponseBytes,
+                           s.link_, resp.at, kPushdownResponseBytes,
                            net::MessageKind::kPushdownResponse);
   caller.metrics().net_messages += 1;
   caller.metrics().net_bytes += kPushdownResponseBytes;
@@ -465,54 +548,16 @@ Status PushdownRuntime::Pushdown(ddc::ExecutionContext& caller, PushdownFn fn,
   bd.retry_ns += resp.waited;
   bd.response_transfer_ns = resp_arrive - mem_ctx.now() - resp.waited;
 
-  // (6) Post-pushdown synchronization.
+  // (6) Post-pushdown synchronization. On-demand: dirty bits merged locally
+  // in the pool; compute re-faults lazily (§4.1). The merge's
+  // journal-append time (zero with the journal off) counts here too.
   const Nanos post0 = caller.now();
-  if (flags.sync == SyncStrategy::kEager) {
-    ms_->BulkRefetch(caller, eager_flushed);
+  if (s.flags_.sync == SyncStrategy::kEager) {
+    ms_->BulkRefetch(caller, s.eager_flushed_);
   }
-  // On-demand: dirty bits merged locally in the pool; compute re-faults
-  // lazily (§4.1). The merge's journal-append time (zero with the journal
-  // off) counts as post-pushdown synchronization.
   bd.post_sync_ns = (caller.now() - post0) + merge_ns;
 
-  FinishCall(bd, t0, /*fallback=*/false, flags.kernel);
-  return st;
-}
-
-Status PushdownRuntime::RunLocalFallback(ddc::ExecutionContext& caller,
-                                         PushdownFn fn, void* arg,
-                                         PushdownBreakdown& bd, Nanos t0,
-                                         bool cancel_sent, net::Link link,
-                                         int kernel) {
-  if (!cancel_sent) {
-    // Best-effort try_cancel so a late-delivered request is not executed by
-    // the pool as well; a drop is acceptable — the pool discards requests
-    // whose caller already gave up on them.
-    const net::SendOutcome probe = ms_->fabric().TrySendToMemory(
-        link, caller.now(), 64, net::MessageKind::kTryCancel);
-    if (probe.delivered) {
-      caller.metrics().net_messages += 1;
-      caller.metrics().net_bytes += 64;
-    }
-  }
-  // Local execution in the caller's own context: pages the function needs
-  // come in through ordinary demand paging (which itself rides the retry
-  // layer while the pool recovers).
-  const Nanos exec0 = caller.now();
-  if (sim::Tracer* tracer = ms_->tracer()) {
-    tracer->Instant("pushdown", "LocalFallback", exec0, sim::kTrackCompute);
-  }
-  Status st = fn(caller, arg);
-  bd.function_exec_ns = caller.now() - exec0;
-  // Everything else the caller waited on — exhausted attempts, backoff,
-  // outage waits, the cancel round trip — is recovery time, so the
-  // breakdown still sums exactly to the caller's elapsed time.
-  const Nanos other = bd.Total() - bd.retry_ns;
-  bd.retry_ns = (caller.now() - t0) - other;
-  ++fallback_calls_;
-  caller.metrics().fallbacks += 1;
-  caller.metrics().pushdown_calls += 1;
-  FinishCall(bd, t0, /*fallback=*/true, kernel);
+  FinishCall(bd, s.t0_, /*fallback=*/false, s.flags_.kernel);
   return st;
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rle.h"
+#include "sim/interleaver.h"
+
 namespace teleport::tp {
 namespace {
 
@@ -264,6 +267,162 @@ TEST_F(PushdownTest, PageListCompressionIsHigh) {
   SumArgs args{a, 16, 0};
   ASSERT_TRUE(runtime_.Pushdown(*caller, SumFn, &args).ok());
   EXPECT_GT(runtime_.last_page_list_compression(), 2.0);
+}
+
+TEST_F(PushdownTest, OnDemandWithoutCoherenceSendsNoResidentList) {
+  // A warm cache: eight resident pages, half of them written.
+  const VAddr a = MakeData(8 * kPage / 8);
+  auto caller = ms_.CreateContext(Pool::kCompute);
+  for (int p = 0; p < 8; ++p) {
+    if (p % 2 == 0) {
+      caller->Store<int64_t>(a + p * kPage, p);
+    } else {
+      (void)caller->Load<int64_t>(a + p * kPage);
+    }
+  }
+  const std::vector<PageEntry> resident = ms_.ResidentPages();
+  ASSERT_EQ(resident.size(), 8u);
+  const sim::CostParams& params = ms_.params();
+  const auto body = [](ExecutionContext& ctx) {
+    ctx.ChargeCpu(100);
+    return Status::OK();
+  };
+  const auto request_bytes = [&] {
+    return ms_.fabric().bytes_of(net::MessageKind::kPushdownRequest);
+  };
+
+  // A kNone session maps every page writable: no scan, no list, no clone.
+  PushdownFlags none;
+  none.coherence = ddc::CoherenceMode::kNone;
+  uint64_t before = request_bytes();
+  ASSERT_TRUE(runtime_.Call(*caller, body, none).ok());
+  EXPECT_EQ(runtime_.last_breakdown().pre_sync_ns, 0);
+  EXPECT_EQ(request_bytes() - before, kPushdownRequestBytes);
+  EXPECT_EQ(runtime_.last_breakdown().context_setup_ns,
+            params.context_fixed_ns);
+
+  // Under kMesi the same call scans the list, sends it and clones a PTE
+  // per entry.
+  ASSERT_EQ(ms_.ResidentPages().size(), resident.size());
+  const auto n = static_cast<Nanos>(resident.size());
+  before = request_bytes();
+  ASSERT_TRUE(runtime_.Call(*caller, body).ok());
+  EXPECT_EQ(runtime_.last_breakdown().pre_sync_ns, n * params.resident_scan_ns);
+  EXPECT_EQ(request_bytes() - before,
+            kPushdownRequestBytes + RleSizeBytes(RleEncode(resident)));
+  EXPECT_EQ(runtime_.last_breakdown().context_setup_ns,
+            params.context_fixed_ns + n * params.pte_clone_ns);
+}
+
+// The stepped pushdown of the §4 microbenchmark: Begin, then the
+// Interleaver runs the pushed body a batch of loads per step beside other
+// simulated threads, then End in the step that finishes the body. The body
+// sums the lower half of each of `pages` pages.
+class SteppedSum : public sim::Task {
+ public:
+  SteppedSum(PushdownRuntime* runtime, ExecutionContext* caller, VAddr data,
+             uint64_t pages)
+      : runtime_(runtime),
+        caller_(caller),
+        session_(*caller),
+        data_(data),
+        words_(pages * kPage / 16) {}
+
+  Nanos clock() const override {
+    return body_ != nullptr && !ended_ ? body_->now() : caller_->now();
+  }
+  bool done() const override { return ended_; }
+  void Step() override {
+    if (body_ == nullptr) {
+      t0_ = caller_->now();
+      ASSERT_TRUE(runtime_->Begin(session_).ok());
+      body_ = &session_.ctx();
+      return;
+    }
+    for (int k = 0; k < 16 && next_ < words_; ++k, ++next_) {
+      sum_ += body_->Load<int64_t>(LowerHalfWord(data_, next_));
+    }
+    if (next_ == words_) {
+      ASSERT_TRUE(runtime_->End(session_, Status::OK()).ok());
+      ended_ = true;
+    }
+  }
+
+  static VAddr LowerHalfWord(VAddr data, uint64_t w) {
+    return data + (w / (kPage / 16)) * kPage + (w % (kPage / 16)) * 8;
+  }
+
+  Nanos t0() const { return t0_; }
+  int64_t sum() const { return sum_; }
+
+ private:
+  PushdownRuntime* runtime_;
+  ExecutionContext* caller_;
+  PushdownSession session_;
+  VAddr data_;
+  uint64_t words_;
+  ExecutionContext* body_ = nullptr;
+  uint64_t next_ = 0;
+  Nanos t0_ = 0;
+  int64_t sum_ = 0;
+  bool ended_ = false;
+};
+
+/// A compute-side thread that writes the upper half of each page in turn.
+class UpperHalfWriter : public sim::Task {
+ public:
+  UpperHalfWriter(ExecutionContext* ctx, VAddr data, uint64_t pages,
+                  uint64_t writes)
+      : ctx_(ctx), data_(data), pages_(pages), writes_(writes) {}
+
+  Nanos clock() const override { return ctx_->now(); }
+  bool done() const override { return next_ == writes_; }
+  void Step() override {
+    for (int k = 0; k < 4 && !done(); ++k, ++next_) {
+      const uint64_t page = next_ % pages_;
+      ctx_->Store<int64_t>(data_ + page * kPage + kPage / 2, -1);
+    }
+  }
+
+ private:
+  ExecutionContext* ctx_;
+  VAddr data_;
+  uint64_t pages_;
+  uint64_t writes_;
+  uint64_t next_ = 0;
+};
+
+TEST_F(PushdownTest, SessionSteppedBesideAWriterMatchesASequentialCall) {
+  constexpr uint64_t kPages = 8;
+  const VAddr a = MakeData(kPages * kPage / 8);
+  auto caller = ms_.CreateContext(Pool::kCompute);
+  auto writer_ctx = ms_.CreateContext(Pool::kCompute);
+  UpperHalfWriter writer(writer_ctx.get(), a, kPages, /*writes=*/4096);
+  SteppedSum pushed(&runtime_, caller.get(), a, kPages);
+  sim::Interleaver il;
+  il.Add(&writer);
+  il.Add(&pushed);
+  il.Run();
+
+  // The writer kept dirtying pages the body read, so the body paid online
+  // coherence, and the components still tile the caller's elapsed time.
+  const PushdownBreakdown bd = runtime_.last_breakdown();
+  EXPECT_GT(bd.online_sync_ns, 0);
+  EXPECT_EQ(bd.Total(), caller->now() - pushed.t0());
+
+  auto seq_caller = ms_.CreateContext(Pool::kCompute);
+  int64_t expected = 0;
+  ASSERT_TRUE(runtime_
+                  .Call(*seq_caller,
+                        [&](ExecutionContext& ctx) {
+                          for (uint64_t w = 0; w < kPages * kPage / 16; ++w) {
+                            expected += ctx.Load<int64_t>(
+                                SteppedSum::LowerHalfWord(a, w));
+                          }
+                          return Status::OK();
+                        })
+                  .ok());
+  EXPECT_EQ(pushed.sum(), expected);
 }
 
 TEST(InstancePoolTest, MakespanShrinksWithInstances) {
